@@ -12,7 +12,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterator
 
-from .errors import ValidationError
+from .errors import RecsetError, ValidationError
 from .numeration import DigitWord, encode
 
 
@@ -169,7 +169,8 @@ def _bfs_renumber(dfa: Dfa) -> Dfa:
             if t is not None and t not in order:
                 order[t] = len(order)
                 queue.append(t)
-    assert len(order) == dfa.state_count, "renumbering requires a fully reachable automaton"
+    if len(order) != dfa.state_count:
+        raise RecsetError("internal: renumbering requires a fully reachable automaton")
     transitions = {(order[s], d): order[t] for (s, d), t in dfa.transitions.items()}
     return Dfa(dfa.alphabet_size, dfa.state_count, 0,
                frozenset(order[s] for s in dfa.finals), transitions)
@@ -330,6 +331,11 @@ class RecognizableSet:
     def base(self) -> int:
         return self.dfa.alphabet_size
 
+    @cached_property
+    def normal_form(self) -> Dfa:
+        """The completed canonical minimal automaton; every witness `state` refers to it."""
+        return complete(minimize(self.dfa))
+
 
 def member(s: RecognizableSet, n: int) -> bool:
     """Is n an element of the set?"""
@@ -340,10 +346,15 @@ def member(s: RecognizableSet, n: int) -> bool:
     return accepts(s.dfa, encode(n, s.base))
 
 
-def _extend_layers(layers: list[frozenset[int]], rows, n: int) -> None:
-    prev = layers[-1]
-    layers.append(frozenset(s for s in range(n)
-                            if any(t in prev for t in rows[s].values())))
+def _extend_layers(layers: list[frozenset[int]], rows, n: int, upto: int) -> None:
+    """Grow exact-depth coreachability layers until layers[upto] exists.
+
+    layers[r] holds the states with a path of exactly r steps into layers[0].
+    """
+    while len(layers) <= upto:
+        prev = layers[-1]
+        layers.append(frozenset(s for s in range(n)
+                                if any(t in prev for t in rows[s].values())))
 
 
 def _values_of_length(rows, p: int, initial: int, layers, t: int) -> list[int]:
@@ -394,8 +405,7 @@ def iter_elements(s: RecognizableSet) -> Iterator[int]:
     layers: list[frozenset[int]] = [frozenset(dfa.finals)]
     t = 1
     while max_len is None or t <= max_len:
-        while len(layers) <= t - 1:
-            _extend_layers(layers, rows, dfa.state_count)
+        _extend_layers(layers, rows, dfa.state_count, t - 1)
         yield from _values_of_length(rows, p, dfa.initial, layers, t)
         t += 1
 

@@ -1,8 +1,9 @@
 """Command-line interface: one subcommand per library operation.
 
 Exit codes: 0 success, 1 negative verdict (false / not syndetic / dependent /
-absent), 2 usage or validation error, 3 search cap exceeded.  All errors go
-to stderr as a single line starting with "error: ".
+absent), 2 usage or validation error, 3 search cap exceeded, 4 internal error
+(a self-check failed).  All errors go to stderr as a single line starting
+with "error: ".
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .automata import (
     right_dense,
     trim,
 )
-from .errors import PreconditionError, SearchCapExceededError, ValidationError
+from .errors import PreconditionError, RecsetError, SearchCapExceededError, ValidationError
 from .fileformat import dumps_automaton, read_automaton, write_automaton
 from .lengths import cofinite_threshold, length_profile
 from .numeration import (
@@ -30,11 +31,9 @@ from .numeration import (
     mult_independent,
 )
 from .witnesses import (
-    DEFAULT_K_CHECK,
     DEFAULT_LENGTH_CAP,
     Finite,
     NotSyndetic,
-    Syndetic,
     cross_base_refute,
     empty_interval_witness,
     gap_scan,
@@ -130,27 +129,23 @@ def _cmd_profile(args) -> int:
 
 def _cmd_witness_nonempty(args) -> int:
     s = _load(args)
-    w = nonempty_interval_witness(s, m_min=args.m_min,
-                                  k_check=args.k_check, length_cap=args.cap)
-    _witness_lines(w)
-    print(f"verified_k: 0..{args.k_check}")
+    _witness_lines(nonempty_interval_witness(s, m_min=args.m_min, length_cap=args.cap))
     return 0
 
 
 def _cmd_witness_empty(args) -> int:
     s = _load(args)
-    w = empty_interval_witness(s, k_check=args.k_check, length_cap=args.cap)
+    w = empty_interval_witness(s, length_cap=args.cap)
     if w is None:
         print("absent")
         return 1
     _witness_lines(w)
-    print(f"verified_k: 0..{args.k_check}")
     return 0
 
 
 def _cmd_syndetic(args) -> int:
     s = _load(args)
-    verdict = syndetic_decide(s, k_check=args.k_check, length_cap=args.cap)
+    verdict = syndetic_decide(s, length_cap=args.cap)
     if isinstance(verdict, Finite):
         print("verdict: finite")
         return 0
@@ -162,7 +157,6 @@ def _cmd_syndetic(args) -> int:
               "contain no elements; their lengths grow without bound, so "
               "consecutive gaps are unbounded")
         return 1
-    assert isinstance(verdict, Syndetic)
     cert = verdict.certificate
     print("verdict: syndetic")
     print(f"C: {cert.threshold}")
@@ -207,8 +201,7 @@ def _cmd_gaps(args) -> int:
 def _cmd_refute(args) -> int:
     set_p = read_automaton(args.file_p, strict=not args.lenient)
     set_q = read_automaton(args.file_q, strict=not args.lenient)
-    cert = cross_base_refute(set_p, set_q, k_check=args.k_check,
-                             cap=args.cap, length_cap=args.cap)
+    cert = cross_base_refute(set_p, set_q, cap=args.cap, length_cap=args.cap)
     if cert is None:
         print("absent: the second automaton has no empty interval family; "
               "no refutation of this shape exists (the sets may or may not be equal)")
@@ -245,8 +238,6 @@ def _add_io_flags(sub, out: bool = False) -> None:
 
 
 def _add_search_flags(sub, m_min: bool = False) -> None:
-    sub.add_argument("--k-check", type=int, default=DEFAULT_K_CHECK, dest="k_check",
-                     help="verification depth for witness families (default 8)")
     sub.add_argument("--cap", type=int, default=DEFAULT_LENGTH_CAP,
                      help="search cap (default 10000)")
     if m_min:
@@ -356,6 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # certificates can exceed the default int-to-str digit limit (Python >= 3.10.7)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -369,6 +363,9 @@ def main(argv=None) -> int:
     except (ValidationError, PreconditionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecsetError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from .automata import Dfa
 from .errors import SearchCapExceededError, ValidationError
 
-SubsetState = frozenset  # a set of state indices, one value of the subset iteration
-
 DEFAULT_SUBSET_CAP = 1 << 20
 
 

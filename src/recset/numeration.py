@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import PreconditionError, SearchCapExceededError, ValidationError
+from .errors import PreconditionError, RecsetError, SearchCapExceededError, ValidationError
 
 DEFAULT_KRONECKER_CAP = 10_000
 
@@ -124,7 +124,8 @@ def mult_independent(p: int, q: int) -> IndependenceVerdict:
         return IndependenceVerdict(True)
     g = math.gcd(exp_p, exp_q)
     k, ell = exp_q // g, exp_p // g
-    assert p**k == q**ell
+    if p**k != q**ell:
+        raise RecsetError(f"internal: dependence witness {p}^{k} = {q}^{ell} does not hold")
     return IndependenceVerdict(False, (k, ell))
 
 

@@ -5,22 +5,23 @@ for k = 0, 1, 2, ...  Such an interval holds exactly the integers whose
 canonical base-p representation is the digit word of m followed by a+b*k more
 digits, so whether the family uniformly meets or uniformly misses a
 recognizable set is read off the length profile of the state reached by m's
-digits.  Every returned witness is machine-checkable by finite reachability.
+digits.  Every returned witness and certificate is re-checked exactly, for
+every k, before it is returned.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .automata import (
     Dfa,
     RecognizableSet,
-    complete,
+    _extend_layers,
     has_infinite_language,
     iter_elements,
     member,
-    minimize,
 )
 from .errors import (
     FiniteSetError,
@@ -40,7 +41,6 @@ from .numeration import (
     verify_kronecker,
 )
 
-DEFAULT_K_CHECK = 8
 DEFAULT_LENGTH_CAP = 10_000
 
 
@@ -50,9 +50,9 @@ class IntervalWitness:
 
     kind="nonempty": every [m*p**(a+b*k), (m+1)*p**(a+b*k)) meets the set.
     kind="empty":    every such interval misses the set.
-    `state` is the state reached by the digits of m in the completed canonical
-    minimal automaton of the set, which is what makes the witness re-checkable
-    by depth-(a+b*k) reachability.
+    `state` is the state reached by the digits of m in the set's normal form
+    (`RecognizableSet.normal_form`, the completed canonical minimal automaton),
+    which is what makes the witness re-checkable by depth-(a+b*k) reachability.
     """
 
     m: int
@@ -127,11 +127,6 @@ class GapScanResult(NamedTuple):
     positions: tuple[tuple[int, int], ...]
 
 
-def _completed_minimal(s: RecognizableSet) -> Dfa:
-    """The completed canonical minimal automaton every witness refers to."""
-    return complete(minimize(s.dfa))
-
-
 def _qualifying_states(dfa: Dfa) -> frozenset[int]:
     """States reachable by a path whose first digit is nonzero.
 
@@ -193,13 +188,6 @@ def _lex_min_path(rows, p: int, initial: int, layers, t: int, bound):
             resume = d + 1
 
 
-def _ensure_layers(layers, rows, n: int, upto: int) -> None:
-    while len(layers) <= upto:
-        prev = layers[-1]
-        layers.append(frozenset(s for s in range(n)
-                                if any(t in prev for t in rows[s].values())))
-
-
 def _min_value_path(dfa: Dfa, targets, min_value: int,
                     length_cap: int) -> tuple[int, int]:
     """Smallest integer >= min_value whose canonical digit path ends in `targets`.
@@ -213,7 +201,7 @@ def _min_value_path(dfa: Dfa, targets, min_value: int,
     bound = encode(min_value, p).digits
     first_len = len(bound)
     for t in range(first_len, first_len + length_cap + 1):
-        _ensure_layers(layers, rows, dfa.state_count, t - 1)
+        _extend_layers(layers, rows, dfa.state_count, t - 1)
         found = _lex_min_path(rows, p, dfa.initial, layers, t,
                               bound if t == first_len else None)
         if found is not None:
@@ -225,7 +213,7 @@ def _min_value_path(dfa: Dfa, targets, min_value: int,
 def _lex_min_accepted_value(dfa: Dfa, state: int, depth: int) -> int:
     """Value of the least word of the given length accepted from `state`."""
     layers = [frozenset(dfa.finals)]
-    _ensure_layers(layers, dfa.rows, dfa.state_count, depth - 1)
+    _extend_layers(layers, dfa.rows, dfa.state_count, depth - 1)
     # leading zeros are fine here: this is an extension word, not a number
     rows = dfa.rows
     value = 0
@@ -251,119 +239,117 @@ def _first_bit_past_preperiod(profile: UltimatePeriod, wanted: int) -> int:
     raise RecsetError("internal: requested bit value does not occur in the cycle")
 
 
-def verify_interval_witness(s: RecognizableSet, w: IntervalWitness, *,
-                            k_check: int = DEFAULT_K_CHECK) -> bool:
-    """Re-check a witness against its set by finite reachability.
+def verify_interval_witness(s: RecognizableSet, w: IntervalWitness) -> bool:
+    """Re-check a witness against its set, exactly and for every k.
 
-    The digits of m must reach w.state in the completed canonical minimal
-    automaton, and for each k = 0..k_check the states reachable from w.state
-    in exactly a+b*k steps must meet the finals (nonempty kind) or avoid them
-    (empty kind).
+    The digits of m must reach w.state in the set's normal form, and the
+    subset reached from {w.state} in a+b*k steps must meet the finals
+    (nonempty kind) or avoid them (empty kind).  A forward subset walk from
+    {w.state} runs to its first repeated subset, which fixes a preperiod and
+    period; every depth a+b*k is reduced onto that walk, and past the
+    preperiod the depths repeat once k has run through period/gcd(b, period)
+    values.  The cost is one walk, whatever the sizes of a and b.
     """
     if w.m < 1 or w.a < 1 or w.b < 1:
         return False
-    dfa = _completed_minimal(s)
-    end = dfa.walk(dfa.initial, encode(w.m, s.base))
-    if end != w.state:
+    dfa = s.normal_form
+    if dfa.walk(dfa.initial, encode(w.m, s.base)) != w.state:
         return False
+    walk = [frozenset({w.state})]
+    first_seen = {walk[0]: 0}
+    while (nxt := subset_step(dfa, walk[-1])) not in first_seen:
+        first_seen[nxt] = len(walk)
+        walk.append(nxt)
+    pre = first_seen[nxt]
+    period = len(walk) - pre
     want = w.kind == "nonempty"
-    current: frozenset[int] = frozenset({w.state})
-    for _ in range(w.a):
-        current = subset_step(dfa, current)
-    for k in range(k_check + 1):
-        if bool(current & dfa.finals) != want:
+    strides = -(-max(0, pre - w.a) // w.b) + period // math.gcd(w.b, period)
+    for k in range(strides):
+        depth = w.a + w.b * k
+        subset = walk[depth] if depth < pre else walk[pre + (depth - pre) % period]
+        if bool(subset & dfa.finals) != want:
             return False
-        if k < k_check:
-            for _ in range(w.b):
-                current = subset_step(dfa, current)
     return True
 
 
+def _qualifying_profiles(s: RecognizableSet) -> dict[int, UltimatePeriod]:
+    """Length profile of every qualifying state of the set's normal form."""
+    dfa = s.normal_form
+    return {st: length_profile(dfa, st) for st in _qualifying_states(dfa)}
+
+
+def _witness(s: RecognizableSet, profiles: dict[int, UltimatePeriod], kind: str,
+             m_min: int, length_cap: int) -> IntervalWitness | None:
+    """Least-m witness of the given kind, exactly re-checked; None if no state qualifies.
+
+    The target states are those whose length set holds infinitely many lengths
+    (nonempty kind) or misses infinitely many (empty kind); a is the first such
+    length past the state's preperiod and b its period.
+    """
+    bit = 1 if kind == "nonempty" else 0
+    targets = frozenset(st for st, prof in profiles.items() if bit in prof.cycle_bits)
+    if not targets:
+        return None
+    value, state = _min_value_path(s.normal_form, targets, m_min, length_cap)
+    prof = profiles[state]
+    w = IntervalWitness(value, _first_bit_past_preperiod(prof, bit), prof.period, state, kind)
+    if not verify_interval_witness(s, w):
+        raise RecsetError(f"internal: generated witness {w} fails its exact check")
+    return w
+
+
 def nonempty_interval_witness(s: RecognizableSet, m_min: int = 1, *,
-                              k_check: int = DEFAULT_K_CHECK,
                               length_cap: int = DEFAULT_LENGTH_CAP) -> IntervalWitness:
     """Witness that the intervals [m*p**(a+b*k), (m+1)*p**(a+b*k)) all meet the set.
 
     m is the smallest integer >= m_min whose digit path ends in a state with
     infinitely many accepted lengths; a is the least accepted length past that
-    state's preperiod and b its period.  The witness is re-verified for
-    k = 0..k_check before being returned.
+    state's preperiod and b its period.  The witness is re-verified exactly,
+    for every k, before being returned.
     """
     if m_min < 1:
         raise PreconditionError(f"m_min must be >= 1, got {m_min}")
     if not has_infinite_language(s.dfa):
         raise FiniteSetError("the set is finite: no nonempty interval family exists")
-    dfa = _completed_minimal(s)
-    qualifying = _qualifying_states(dfa)
-    profiles = {st: length_profile(dfa, st) for st in qualifying}
-    targets = frozenset(st for st in qualifying if any(profiles[st].cycle_bits))
-    value, state = _min_value_path(dfa, targets, m_min, length_cap)
-    prof = profiles[state]
-    a = _first_bit_past_preperiod(prof, 1)
-    w = IntervalWitness(value, a, prof.period, state, "nonempty")
-    assert verify_interval_witness(s, w, k_check=k_check)
-    return w
-
-
-def _empty_witness_on(dfa: Dfa, profiles: dict[int, UltimatePeriod],
-                      coinfinite: frozenset[int], s: RecognizableSet,
-                      k_check: int, length_cap: int) -> IntervalWitness:
-    value, state = _min_value_path(dfa, coinfinite, 1, length_cap)
-    prof = profiles[state]
-    a = _first_bit_past_preperiod(prof, 0)
-    w = IntervalWitness(value, a, prof.period, state, "empty")
-    assert verify_interval_witness(s, w, k_check=k_check)
-    return w
+    return _witness(s, _qualifying_profiles(s), "nonempty", m_min, length_cap)
 
 
 def empty_interval_witness(s: RecognizableSet, *,
-                           k_check: int = DEFAULT_K_CHECK,
                            length_cap: int = DEFAULT_LENGTH_CAP) -> IntervalWitness | None:
     """Witness that the intervals [m*p**(a+b*k), (m+1)*p**(a+b*k)) all miss the set.
 
-    Exists iff some qualifying state of the completed canonical minimal
-    automaton misses infinitely many lengths; returns None when every
-    qualifying state's length set is cofinite (then no such family exists).
+    Exists iff some qualifying state of the set's normal form misses
+    infinitely many lengths; returns None when every qualifying state's length
+    set is cofinite (then no such family exists).  The witness is re-verified
+    exactly, for every k, before being returned.
     """
     if not has_infinite_language(s.dfa):
         raise FiniteSetError("the set is finite: use a direct scan instead")
-    dfa = _completed_minimal(s)
-    qualifying = _qualifying_states(dfa)
-    profiles = {st: length_profile(dfa, st) for st in qualifying}
-    coinfinite = frozenset(st for st in qualifying
-                           if not all(profiles[st].cycle_bits))
-    if not coinfinite:
-        return None
-    return _empty_witness_on(dfa, profiles, coinfinite, s, k_check, length_cap)
+    return _witness(s, _qualifying_profiles(s), "empty", 1, length_cap)
 
 
 def syndetic_decide(s: RecognizableSet, *,
-                    k_check: int = DEFAULT_K_CHECK,
                     length_cap: int = DEFAULT_LENGTH_CAP) -> SyndeticVerdict:
     """Decide whether the set has bounded gaps between consecutive elements.
 
     Finite sets get the Finite verdict.  Otherwise every qualifying state of
-    the completed canonical minimal automaton is profiled:
+    the set's normal form is profiled:
 
     - some state misses infinitely many lengths -> NotSyndetic, with an empty
       interval family whose interval lengths grow without bound (the set is
       infinite, so elements exist beyond every such interval and the gaps are
-      unbounded);
+      unbounded); the family is re-verified exactly, for every k;
     - all states eventually accept every length -> Syndetic with C the largest
       per-state threshold: every positive n then has an element of the set in
       [n*p**C, (n+1)*p**C), so any interval of length 2*p**C meets the set.
     """
     if not has_infinite_language(s.dfa):
         return Finite()
-    dfa = _completed_minimal(s)
-    qualifying = _qualifying_states(dfa)
-    profiles = {st: length_profile(dfa, st) for st in qualifying}
-    coinfinite = frozenset(st for st in qualifying
-                           if not all(profiles[st].cycle_bits))
-    if coinfinite:
-        return NotSyndetic(_empty_witness_on(dfa, profiles, coinfinite, s,
-                                             k_check, length_cap))
-    thresholds = {st: cofinite_threshold(profiles[st]) for st in sorted(qualifying)}
+    profiles = _qualifying_profiles(s)
+    w = _witness(s, profiles, "empty", 1, length_cap)
+    if w is not None:
+        return NotSyndetic(w)
+    thresholds = {st: cofinite_threshold(profiles[st]) for st in sorted(profiles)}
     c = max(thresholds.values(), default=0)
     return Syndetic(SyndeticCertificate(c, 2 * s.base**c, thresholds))
 
@@ -395,7 +381,6 @@ def gap_scan(s: RecognizableSet, horizon: int) -> GapScanResult:
 
 
 def cross_base_refute(set_p: RecognizableSet, set_q: RecognizableSet, *,
-                      k_check: int = DEFAULT_K_CHECK,
                       cap: int = DEFAULT_KRONECKER_CAP,
                       length_cap: int = DEFAULT_LENGTH_CAP) -> ContradictionCertificate | None:
     """Nested-interval proof that two automata recognize different sets, if one exists this way.
@@ -404,7 +389,8 @@ def cross_base_refute(set_p: RecognizableSet, set_q: RecognizableSet, *,
     being infinite, admits a nonempty family (m, a, b) with m > n, and a
     suitable exponent pair (K, L) nests the nonempty base-p interval inside
     the empty base-q interval.  The certificate carries a concrete element of
-    the first set inside both intervals.
+    the first set inside both intervals, and is re-verified exactly by
+    `verify_contradiction` before being returned.
 
     Returns None when the second automaton has no empty interval family;
     that is NOT a proof that the sets are equal, only that no refutation of
@@ -418,23 +404,26 @@ def cross_base_refute(set_p: RecognizableSet, set_q: RecognizableSet, *,
             f"bases {p} and {q} are multiplicatively dependent: {p}^{wk} = {q}^{wl}")
     if not has_infinite_language(set_p.dfa) or not has_infinite_language(set_q.dfa):
         raise FiniteSetError("both sets must be infinite")
-    ew = empty_interval_witness(set_q, k_check=k_check, length_cap=length_cap)
+    ew = empty_interval_witness(set_q, length_cap=length_cap)
     if ew is None:
         return None
-    nw = nonempty_interval_witness(set_p, m_min=ew.m + 1,
-                                   k_check=k_check, length_cap=length_cap)
+    nw = nonempty_interval_witness(set_p, m_min=ew.m + 1, length_cap=length_cap)
     kw = kronecker_witness(nw.m, ew.m, nw.a, nw.b, ew.a, ew.b, p, q, cap=cap)
     depth = nw.a + nw.b * kw.k
-    dfa_p = _completed_minimal(set_p)
-    element = nw.m * p**depth + _lex_min_accepted_value(dfa_p, nw.state, depth)
+    element = nw.m * p**depth + _lex_min_accepted_value(set_p.normal_form, nw.state, depth)
     cert = ContradictionCertificate(p, q, nw, ew, kw, element)
-    assert verify_contradiction(cert, set_p, set_q)
+    if not verify_contradiction(cert, set_p, set_q):
+        raise RecsetError("internal: generated contradiction certificate fails its exact check")
     return cert
 
 
 def verify_contradiction(cert: ContradictionCertificate,
                          set_p: RecognizableSet, set_q: RecognizableSet) -> bool:
-    """Exact re-verification of every claim a contradiction certificate makes."""
+    """Exact re-verification of every claim a contradiction certificate makes.
+
+    Both interval families are checked for every k, which covers the exponents
+    K and L the certificate nests.
+    """
     p, q = set_p.base, set_q.base
     if (cert.base_p, cert.base_q) != (p, q):
         return False
@@ -455,11 +444,4 @@ def verify_contradiction(cert: ContradictionCertificate,
         return False
     if not member(set_p, cert.element) or member(set_q, cert.element):
         return False
-    if not verify_interval_witness(set_p, nw) or not verify_interval_witness(set_q, ew):
-        return False
-    # the specific empty interval that swallows the element, checked directly
-    dfa_q = _completed_minimal(set_q)
-    current: frozenset[int] = frozenset({ew.state})
-    for _ in range(ew.a + ew.b * kw.ell):
-        current = subset_step(dfa_q, current)
-    return not current & dfa_q.finals
+    return verify_interval_witness(set_p, nw) and verify_interval_witness(set_q, ew)

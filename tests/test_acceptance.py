@@ -67,7 +67,7 @@ def test_criterion_1_right_dense_but_not_syndetic():
     assert isinstance(verdict, NotSyndetic)
     w = verdict.witness
     assert w.kind == "empty"
-    assert verify_interval_witness(s, w, k_check=10)
+    assert verify_interval_witness(s, w)
     for k in range(11):
         lo = w.m * 2 ** (w.a + w.b * k)
         hi = (w.m + 1) * 2 ** (w.a + w.b * k)
@@ -164,14 +164,14 @@ def test_criterion_4_interval_witnesses_sound_on_corpus():
     for s in corpus:
         nw = nonempty_interval_witness(s, 1)
         assert nw.kind == "nonempty"
-        assert verify_interval_witness(s, nw, k_check=8)
+        assert verify_interval_witness(s, nw)
         ew = empty_interval_witness(s)
         if ew is None:
             absents += 1
             assert _qualifying_all_cofinite(s)
         else:
             assert ew.kind == "empty"
-            assert verify_interval_witness(s, ew, k_check=8)
+            assert verify_interval_witness(s, ew)
             assert not _qualifying_all_cofinite(s)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"criterion 4 took {elapsed:.2f}s"

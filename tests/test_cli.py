@@ -135,6 +135,36 @@ def test_kronecker_error_exit_codes(capsys):
     assert err.startswith("error: ")
 
 
+def test_kronecker_prints_numbers_past_the_int_str_digit_limit(capsys):
+    from recset import KroneckerWitness, verify_kronecker
+    argv = ["kronecker", "20", "19", "3", "3", "5", "5", "2", "3"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    m, n, a, b, c, d, p, q = (int(x) for x in argv[1:])
+    w = KroneckerWitness(int(fields["k"]), int(fields["l"]))
+    assert verify_kronecker(w, m, n, a, b, c, d, p, q)
+    # main lifted the int-to-str limit for this process, so int() parses them too
+    numbers = fields["chain"].split(" ")[::2]
+    assert max(len(x) for x in numbers) > 4300  # Python's default int-to-str limit
+    big_p, big_q = p ** (a + b * w.k), q ** (c + d * w.ell)
+    assert [int(x) for x in numbers] == [n * big_q, m * big_p, (m + 1) * big_p, (n + 1) * big_q]
+
+
+def test_failed_self_check_exits_4(capsys, files, monkeypatch):
+    import recset.witnesses as witnesses
+    from recset import (PreconditionError, RecsetError, SearchCapExceededError,
+                        ValidationError, example1)
+    monkeypatch.setattr(witnesses, "verify_interval_witness", lambda s, w: False)
+    with pytest.raises(RecsetError) as raised:
+        witnesses.nonempty_interval_witness(example1())
+    assert not isinstance(raised.value,
+                          (PreconditionError, SearchCapExceededError, ValidationError))
+    code, out, err = run(capsys, "witness-empty", files["example1"])
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal: ") and err.count("\n") == 1
+
+
 def test_indep_outputs(capsys):
     code, out, _ = run(capsys, "indep", "2", "3")
     assert (code, out) == (0, "independent\n")

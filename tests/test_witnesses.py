@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from recset import (
@@ -109,7 +111,7 @@ def test_empty_witness_example1_golden():
         assert not example1_oracle(lo) and not example1_oracle(hi - 1)
         if hi - lo <= 1 << 16:
             assert not _interval_has_member_scan(s, lo, hi)
-    assert verify_interval_witness(s, w, k_check=10)
+    assert verify_interval_witness(s, w)
 
 
 def test_empty_witness_powers_of_two():
@@ -199,6 +201,89 @@ def test_verify_rejects_tampered_witness():
     assert not verify_interval_witness(s, bad_state)
 
 
+def test_verify_rejects_family_that_fails_only_at_k_9():
+    # 1 followed by a 10-cycle c0..c9 that every digit advances, all of it
+    # final except c0: [2^(1+k), 2^(2+k)) meets the set unless 1+k is a
+    # multiple of 10, so the first empty interval is [1024, 2048), at k = 9
+    from recset import Dfa, IntervalWitness, RecognizableSet
+    transitions = {(0, 1): 1}
+    transitions.update({(1 + i, d): 1 + (i + 1) % 10 for i in range(10) for d in (0, 1)})
+    s = RecognizableSet(Dfa(2, 11, 0, frozenset(range(2, 11)), transitions))
+    dfa = complete(minimize(s.dfa))
+    c0 = dfa.walk(dfa.initial, [1])
+    assert not _interval_has_member_scan(s, 1024, 2048)
+    assert not verify_interval_witness(s, IntervalWitness(1, 1, 1, c0, "nonempty"))
+    assert verify_interval_witness(s, IntervalWitness(1, 1, 10, c0, "nonempty"))
+    assert verify_interval_witness(s, IntervalWitness(1, 10, 10, c0, "empty"))
+    # depths are reduced onto the walk's recurrence, so huge a and b cost nothing extra
+    assert verify_interval_witness(s, IntervalWitness(1, 10**12, 10**13, c0, "empty"))
+    assert not verify_interval_witness(s, IntervalWitness(1, 10**12, 10**13 + 1, c0, "empty"))
+
+
+def test_verify_matches_a_deep_stride_walk():
+    # reference: the subset walk taken stride by stride for 200 strides, far
+    # past every preperiod and period of these small automata
+    import itertools
+    from recset import IntervalWitness, encode, subset_step
+
+    def deep_walk(s, w):
+        dfa = s.normal_form
+        current = frozenset({w.state})
+        for _ in range(w.a):
+            current = subset_step(dfa, current)
+        for _ in range(200):
+            if bool(current & dfa.finals) != (w.kind == "nonempty"):
+                return False
+            for _ in range(w.b):
+                current = subset_step(dfa, current)
+        return True
+
+    checked = held = 0
+    for s in [example1(), powers_of_two()] + random_recognizable_sets(4242, 10):
+        dfa = s.normal_form
+        for m in range(1, 7):
+            state = dfa.walk(dfa.initial, encode(m, s.base))
+            for a, b, kind in itertools.product((1, 2, 5), (1, 2, 3, 4), ("nonempty", "empty")):
+                w = IntervalWitness(m, a, b, state, kind)
+                result = verify_interval_witness(s, w)
+                assert result == deep_walk(s, w), w
+                checked += 1
+                held += result
+    assert 0 < held < checked
+
+
+def _count_minimize_calls(monkeypatch) -> list:
+    """Route every recset binding of `minimize` through a recorder of its inputs."""
+    from recset import automata
+    original = automata.minimize
+    inputs = []
+
+    def recording(dfa):
+        inputs.append(dfa)
+        return original(dfa)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "recset" and getattr(module, "minimize", None) is original:
+            monkeypatch.setattr(module, "minimize", recording)
+    return inputs
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, q: cross_base_refute(p, q),
+    lambda p, q: syndetic_decide(q),
+    lambda p, q: nonempty_interval_witness(p, 1),
+    lambda p, q: empty_interval_witness(q),
+], ids=["refute", "syndetic", "nonempty", "empty"])
+def test_minimize_runs_at_most_once_per_set(monkeypatch, call):
+    set_p, set_q = full_set(3), example1()  # a known-different pair
+    inputs = _count_minimize_calls(monkeypatch)
+    assert call(set_p, set_q) is not None
+    assert inputs
+    assert all(d is set_p.dfa or d is set_q.dfa for d in inputs)
+    assert sum(d is set_p.dfa for d in inputs) <= 1
+    assert sum(d is set_q.dfa for d in inputs) <= 1
+
+
 # -- syndeticity --------------------------------------------------------------
 
 def test_syndetic_verdicts_on_corpus(corpus):
@@ -234,13 +319,9 @@ def test_syndetic_bound_is_sound_on_random_corpus():
             assert gap_scan(s, horizon).max_gap <= bound
         else:
             assert isinstance(verdict, NotSyndetic)
-            w = verdict.witness
-            # empty intervals of every requested size exist within the family
-            for goal in (10, 100, 1000, 10_000):
-                k = 0
-                while s.base ** (w.a + w.b * k) <= goal:
-                    k += 1
-                assert verify_interval_witness(s, w, k_check=k)
+            # the family is empty for every k, so empty intervals of every
+            # size exist within it
+            assert verify_interval_witness(s, verdict.witness)
 
 
 def test_not_syndetic_when_digit_paths_die():
@@ -259,7 +340,7 @@ def test_not_syndetic_when_digit_paths_die():
     assert isinstance(verdict, NotSyndetic)
     w = verdict.witness
     assert (w.m, w.a, w.b) == (3, 1, 1)
-    assert verify_interval_witness(s, w, k_check=10)
+    assert verify_interval_witness(s, w)
     for k in range(8):
         lo, hi = 3 * 2 ** (1 + k), 4 * 2 ** (1 + k)
         assert not _interval_has_member_scan(s, lo, hi)
