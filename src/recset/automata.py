@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator
 
 from .errors import RecsetError, ValidationError
@@ -88,9 +88,10 @@ def accepts(dfa: Dfa, word) -> bool:
     return end is not None and end in dfa.finals
 
 
-def _reachable(dfa: Dfa) -> set[int]:
-    seen = {dfa.initial}
-    stack = [dfa.initial]
+def _reachable(dfa: Dfa, sources=None) -> set[int]:
+    """States reachable from `sources` (default: the initial state), sources included."""
+    seen = {dfa.initial} if sources is None else set(sources)
+    stack = list(seen)
     while stack:
         s = stack.pop()
         for t in dfa.rows[s].values():
@@ -357,57 +358,77 @@ def _extend_layers(layers: list[frozenset[int]], rows, n: int, upto: int) -> Non
                                 if any(t in prev for t in rows[s].values())))
 
 
-def _values_of_length(rows, p: int, initial: int, layers, t: int) -> list[int]:
-    """All accepted values with exactly t digits, ascending.
+def _ordered_paths(rows, p: int, start: int, layers, t: int, first: int = 1,
+                   bound=None) -> Iterator[int]:
+    """The values of every length-t path from `start` into layers[0], ascending.
 
-    Forward value propagation pruned by exact-depth coreachability layers, so
-    the work stays proportional to the number of surviving prefixes.
+    Depth-first, digits ascending; a digit is taken only if its target is in
+    the exact-depth layer for the steps left, so every branch entered ends in
+    a path.  `first` is the least first digit (0 for extension words).
+    `bound`, a digit tuple of length t, keeps only values >= its value and is
+    the only source of dead ends.  Below an unconstrained prefix the last k
+    digits come from a per-state block of at most 128 values, made once by
+    this same walk.  Memory is O(t + 128 * states), never a whole length.
     """
-    allowed = layers[t - 1]
-    buckets: dict[int, list[int]] = {}
-    for d in range(1, p):
-        nxt = rows[initial].get(d)
-        if nxt is not None and nxt in allowed:
-            buckets.setdefault(nxt, []).append(d)
-    for r in range(t - 1, 0, -1):
-        allowed = layers[r - 1]
-        merged: dict[int, list[int]] = {}
-        for s, vals in buckets.items():
-            for d, nxt in rows[s].items():
-                if nxt in allowed:
-                    merged.setdefault(nxt, []).extend(v * p + d for v in vals)
-        buckets = merged
-        if not buckets:
-            return []
-    out: list[int] = []
-    for vals in buckets.values():
-        out.extend(vals)
-    out.sort()
-    return out
+    k = 1  # block length: the most digits with p**k <= 128, at least one
+    while p ** (k + 1) <= 128:
+        k += 1
+    blocks: dict[int, list[int]] = {}
+    # frame: [state, next digit to try, prefix still equal to bound]; `value`
+    # is the top frame's prefix, kept once so long words cost O(t) digits, not O(t**2)
+    tight = bound is not None
+    stack = [[start, max(first, bound[0]) if tight else first, tight]]
+    value = 0
+    while stack:
+        frame = stack[-1]
+        state, lo, tight = frame
+        depth = len(stack) - 1
+        if depth and depth == t - k and not tight:
+            if state not in blocks:
+                blocks[state] = list(_ordered_paths(rows, p, state, layers, k, first=0))
+            prefix = value * p ** k
+            for tail in blocks[state]:
+                yield prefix + tail
+            del stack[-1]
+            value //= p
+            continue
+        row = rows[state]
+        layer = layers[t - depth - 1]
+        for d in range(lo, p):
+            if (nxt := row.get(d)) in layer:
+                if depth == t - 1:
+                    yield value * p + d
+                    continue
+                frame[1] = d + 1
+                child_tight = tight and d == bound[depth]
+                stack.append([nxt, bound[depth + 1] if child_tight else 0, child_tight])
+                value = value * p + d
+                break
+        else:
+            del stack[-1]
+            value //= p
 
 
 def iter_elements(s: RecognizableSet) -> Iterator[int]:
-    """Yield the elements of the set in increasing order.
+    """Yield the elements of the set in increasing order, lazily.
 
-    Layered radix traversal: word lengths ascend and values are sorted within
-    each length, which coincides with numeric order because canonical words
-    of length t occupy [p**(t-1), p**t).
+    Word lengths ascend, and within a length `_ordered_paths` yields values in
+    ascending order, which is numeric order because canonical words of length
+    t occupy [p**(t-1), p**t).  Memory grows with the word length, not with
+    the number of words of a length.  In a trimmed automaton the exact-depth
+    layers empty out exactly when the language is finite, which ends the walk.
     """
     if s.contains_zero:
         yield 0
     dfa = trim(s.dfa)
     if not dfa.finals:
         return
-    p = dfa.alphabet_size
-    rows = dfa.rows
-    # accepted words in an acyclic trimmed automaton are shorter than the state count
-    max_len = None if has_infinite_language(dfa) else dfa.state_count - 1
     layers: list[frozenset[int]] = [frozenset(dfa.finals)]
-    t = 1
-    while max_len is None or t <= max_len:
-        _extend_layers(layers, rows, dfa.state_count, t - 1)
-        yield from _values_of_length(rows, p, dfa.initial, layers, t)
-        t += 1
+    for t in count(1):
+        _extend_layers(layers, dfa.rows, dfa.state_count, t - 1)
+        if not layers[t - 1]:
+            return
+        yield from _ordered_paths(dfa.rows, dfa.alphabet_size, dfa.initial, layers, t)
 
 
 def enumerate_elements(s: RecognizableSet, limit: int) -> list[int]:

@@ -336,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("file_p")
     sub.add_argument("file_q")
     _add_io_flags(sub)
-    _add_search_flags(sub)
+    sub.add_argument("--cap", type=int, default=DEFAULT_LENGTH_CAP,
+                     help="one cap shared by the witness searches (digit lengths tried) "
+                          "and the Kronecker search (values of l tried) (default 10000)")
     sub.set_defaults(func=_cmd_refute)
 
     sub = subs.add_parser("example1", help="write the built-in right-dense-but-gappy set")

@@ -19,6 +19,8 @@ from .automata import (
     Dfa,
     RecognizableSet,
     _extend_layers,
+    _ordered_paths,
+    _reachable,
     has_infinite_language,
     iter_elements,
     member,
@@ -127,108 +129,26 @@ class GapScanResult(NamedTuple):
     positions: tuple[tuple[int, int], ...]
 
 
-def _qualifying_states(dfa: Dfa) -> frozenset[int]:
-    """States reachable by a path whose first digit is nonzero.
-
-    On a completed automaton these are exactly the states reached by the
-    digits of some positive integer; paths of the original automaton that die
-    mid-word land in the sink, which therefore qualifies too.
-    """
-    rows = dfa.rows
-    frontier = {rows[dfa.initial][d] for d in range(1, dfa.alphabet_size)
-                if d in rows[dfa.initial]}
-    seen = set(frontier)
-    stack = list(frontier)
-    while stack:
-        s = stack.pop()
-        for t in rows[s].values():
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return frozenset(seen)
-
-
-def _lex_min_path(rows, p: int, initial: int, layers, t: int, bound):
-    """Lexicographically least length-t path from `initial` into layers[0].
-
-    Digits are chosen ascending with exact-depth pruning: a digit is viable
-    only if its target can still reach the target set in the remaining steps.
-    The first digit is always nonzero.  `bound`, when given, is a digit tuple
-    of length t restricting the result to values >= the bound's value; only
-    then can backtracking occur.  Returns (value, end_state) or None.
-    """
-    stack: list[tuple[int, int, int, bool]] = []  # (digit, state, value, still tight)
-    resume = -1
-    root_tight = bound is not None
-    while True:
-        depth = len(stack)
-        if depth == t:
-            return stack[-1][2], stack[-1][1]
-        if stack:
-            _, state, value, tight = stack[-1]
-        else:
-            state, value, tight = initial, 0, root_tight
-        row = rows[state]
-        layer = layers[t - depth - 1]
-        lo = 1 if depth == 0 else 0
-        if tight:
-            lo = max(lo, bound[depth])
-        if resume >= 0:
-            lo = max(lo, resume)
-            resume = -1
-        for d in range(lo, p):
-            nxt = row.get(d)
-            if nxt is not None and nxt in layer:
-                stack.append((d, nxt, value * p + d, tight and d == bound[depth]))
-                break
-        else:
-            if not stack:
-                return None
-            d = stack.pop()[0]
-            resume = d + 1
-
-
 def _min_value_path(dfa: Dfa, targets, min_value: int,
                     length_cap: int) -> tuple[int, int]:
     """Smallest integer >= min_value whose canonical digit path ends in `targets`.
 
-    Lengths are searched in increasing order; within a length the
-    lexicographic minimum is the numeric minimum.  Returns (value, end_state).
+    Lengths are searched in increasing order, and at each length the first
+    path `_ordered_paths` yields is the least; only the first length, the one
+    of min_value itself, is bounded below by min_value's digits.  Returns
+    (value, end_state).
     """
-    p = dfa.alphabet_size
-    rows = dfa.rows
     layers = [frozenset(targets)]
-    bound = encode(min_value, p).digits
+    bound = encode(min_value, dfa.alphabet_size).digits
     first_len = len(bound)
     for t in range(first_len, first_len + length_cap + 1):
-        _extend_layers(layers, rows, dfa.state_count, t - 1)
-        found = _lex_min_path(rows, p, dfa.initial, layers, t,
-                              bound if t == first_len else None)
-        if found is not None:
-            return found
+        _extend_layers(layers, dfa.rows, dfa.state_count, t - 1)
+        value = next(_ordered_paths(dfa.rows, dfa.alphabet_size, dfa.initial, layers, t,
+                                    bound=bound if t == first_len else None), None)
+        if value is not None:
+            return value, dfa.walk(dfa.initial, encode(value, dfa.alphabet_size))
     raise SearchCapExceededError(
         f"no qualifying integer found within {length_cap} digit lengths", cap=length_cap)
-
-
-def _lex_min_accepted_value(dfa: Dfa, state: int, depth: int) -> int:
-    """Value of the least word of the given length accepted from `state`."""
-    layers = [frozenset(dfa.finals)]
-    _extend_layers(layers, dfa.rows, dfa.state_count, depth - 1)
-    # leading zeros are fine here: this is an extension word, not a number
-    rows = dfa.rows
-    value = 0
-    current = state
-    for r in range(depth, 0, -1):
-        row = rows[current]
-        for d in range(dfa.alphabet_size):
-            nxt = row.get(d)
-            if nxt is not None and nxt in layers[r - 1]:
-                value = value * dfa.alphabet_size + d
-                current = nxt
-                break
-        else:
-            raise RecsetError("internal: no accepted extension at certified depth")
-    return value
 
 
 def _first_bit_past_preperiod(profile: UltimatePeriod, wanted: int) -> int:
@@ -273,9 +193,17 @@ def verify_interval_witness(s: RecognizableSet, w: IntervalWitness) -> bool:
 
 
 def _qualifying_profiles(s: RecognizableSet) -> dict[int, UltimatePeriod]:
-    """Length profile of every qualifying state of the set's normal form."""
+    """Length profile of every qualifying state of the set's normal form.
+
+    Qualifying states are those reachable by a path whose first digit is
+    nonzero.  On the completed normal form these are exactly the states
+    reached by the digits of some positive integer; paths of the original
+    automaton that die mid-word land in the sink, which therefore qualifies
+    too.
+    """
     dfa = s.normal_form
-    return {st: length_profile(dfa, st) for st in _qualifying_states(dfa)}
+    firsts = [t for d, t in dfa.rows[dfa.initial].items() if d]
+    return {st: length_profile(dfa, st) for st in _reachable(dfa, firsts)}
 
 
 def _witness(s: RecognizableSet, profiles: dict[int, UltimatePeriod], kind: str,
@@ -404,13 +332,20 @@ def cross_base_refute(set_p: RecognizableSet, set_q: RecognizableSet, *,
             f"bases {p} and {q} are multiplicatively dependent: {p}^{wk} = {q}^{wl}")
     if not has_infinite_language(set_p.dfa) or not has_infinite_language(set_q.dfa):
         raise FiniteSetError("both sets must be infinite")
-    ew = empty_interval_witness(set_q, length_cap=length_cap)
+    ew = _witness(set_q, _qualifying_profiles(set_q), "empty", 1, length_cap)
     if ew is None:
         return None
-    nw = nonempty_interval_witness(set_p, m_min=ew.m + 1, length_cap=length_cap)
+    nw = _witness(set_p, _qualifying_profiles(set_p), "nonempty", ew.m + 1, length_cap)
     kw = kronecker_witness(nw.m, ew.m, nw.a, nw.b, ew.a, ew.b, p, q, cap=cap)
     depth = nw.a + nw.b * kw.k
-    element = nw.m * p**depth + _lex_min_accepted_value(set_p.normal_form, nw.state, depth)
+    nf = set_p.normal_form
+    layers = [nf.finals]
+    _extend_layers(layers, nf.rows, nf.state_count, depth - 1)
+    # the least accepted extension word; leading zeros are fine after m's digits
+    tail = next(_ordered_paths(nf.rows, p, nw.state, layers, depth, first=0), None)
+    if tail is None:
+        raise RecsetError("internal: no accepted extension at certified depth")
+    element = nw.m * p**depth + tail
     cert = ContradictionCertificate(p, q, nw, ew, kw, element)
     if not verify_contradiction(cert, set_p, set_q):
         raise RecsetError("internal: generated contradiction certificate fails its exact check")

@@ -43,6 +43,20 @@ def full_set(base: int) -> RecognizableSet:
     return RecognizableSet(Dfa(base, 2, 0, frozenset({1}), transitions), contains_zero=True)
 
 
+def chain(n: int, base: int) -> RecognizableSet:
+    """Numbers whose digit count is a positive multiple of n-1.
+
+    A start state feeds a single cycle of n-1 states with one final state, so
+    each word length holds either no element or all base**(t-1) canonical
+    words of length t.
+    """
+    transitions = {(0, d): 1 for d in range(1, base)}
+    for i in range(1, n):
+        for d in range(base):
+            transitions[(i, d)] = i + 1 if i < n - 1 else 1
+    return RecognizableSet(Dfa(base, n, 0, frozenset({n - 1}), transitions))
+
+
 def finite_set(values, base: int) -> RecognizableSet:
     """Trie automaton accepting exactly the given values."""
     words = [encode(v, base).digits for v in sorted(set(values)) if v > 0]

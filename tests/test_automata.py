@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -28,6 +29,7 @@ from recset import (
     trim,
 )
 from conftest import (
+    chain,
     example1_oracle,
     finite_set,
     full_set,
@@ -251,6 +253,18 @@ def test_enumerate_big_scan_cross_check():
     expected = scan_elements(s, 100_000)
     got = enumerate_elements(s, len(expected))
     assert got == expected
+
+
+def test_enumeration_is_lazy_within_a_length():
+    # the first length of this chain holds 2**18 elements; only 3 are asked for
+    tracemalloc.start()
+    try:
+        got = enumerate_elements(chain(20, 2), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [2**18, 2**18 + 1, 2**18 + 2]
+    assert peak < 1 << 20
 
 
 def test_recognizable_set_rejects_leading_zero_acceptance():

@@ -5,34 +5,42 @@ from __future__ import annotations
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recset import (
+    Dfa,
     FiniteSetError,
     Finite,
     InsufficientDataError,
     NotSyndetic,
     PreconditionError,
+    RecognizableSet,
     Syndetic,
     complete,
     cross_base_refute,
     empty_interval_witness,
+    enumerate_elements,
     example1,
     gap_scan,
+    has_infinite_language,
     length_profile,
     member,
     minimize,
     nonempty_interval_witness,
+    restrict_to_canonical,
     syndetic_decide,
     verify_contradiction,
     verify_interval_witness,
 )
 from conftest import (
+    chain,
     example1_oracle,
     finite_set,
     full_set,
     multiples_of,
     powers_of_two,
     random_recognizable_sets,
+    scan_elements,
 )
 
 
@@ -174,19 +182,45 @@ def _brute_first_m(s, m_min, predicate):
     raise AssertionError("oracle scan exhausted")
 
 
+def _infinite(prof):
+    return any(prof.cycle_bits)
+
+
 def test_witness_m_is_minimal_against_brute_force():
-    infinite = lambda prof: any(prof.cycle_bits)
     coinfinite = lambda prof: not all(prof.cycle_bits)
     cases = [(example1(), 1), (example1(), 3), (multiples_of(3, 2), 1),
              (multiples_of(3, 2), 7), (powers_of_two(), 1), (powers_of_two(), 5)]
     cases += [(s, m) for s in random_recognizable_sets(1001, 8) for m in (1, 4)]
     for s, m_min in cases:
         w = nonempty_interval_witness(s, m_min)
-        assert w.m == _brute_first_m(s, m_min, infinite)
+        assert w.m == _brute_first_m(s, m_min, _infinite)
     for s in [example1(), powers_of_two()] + random_recognizable_sets(1002, 8):
         w = empty_interval_witness(s)
         if w is not None:
             assert w.m == _brute_first_m(s, 1, coinfinite)
+
+
+@st.composite
+def _canonical_sets(draw) -> RecognizableSet:
+    base = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    transitions = draw(st.dictionaries(st.tuples(state, st.integers(0, base - 1)), state))
+    dfa = Dfa(base, n, draw(state), draw(st.frozensets(state)), transitions)
+    return RecognizableSet(restrict_to_canonical(dfa), contains_zero=draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_canonical_sets(), st.integers(1, 200))
+def test_enumeration_and_witness_m_match_brute_force(s, m_min):
+    bound = 600
+    expected = scan_elements(s, bound)
+    got = enumerate_elements(s, len(expected) + 1)
+    assert got[:len(expected)] == expected
+    assert all(x > bound for x in got[len(expected):])
+    if has_infinite_language(s.dfa):
+        # m_min's digits bound the first length searched, so this exercises backtracking
+        assert nonempty_interval_witness(s, m_min).m == _brute_first_m(s, m_min, _infinite)
 
 
 def test_verify_rejects_tampered_witness():
@@ -252,10 +286,10 @@ def test_verify_matches_a_deep_stride_walk():
     assert 0 < held < checked
 
 
-def _count_minimize_calls(monkeypatch) -> list:
-    """Route every recset binding of `minimize` through a recorder of its inputs."""
+def _record_calls(monkeypatch, function: str) -> list:
+    """Route every recset binding of an automata function through a recorder of its inputs."""
     from recset import automata
-    original = automata.minimize
+    original = getattr(automata, function)
     inputs = []
 
     def recording(dfa):
@@ -263,8 +297,8 @@ def _count_minimize_calls(monkeypatch) -> list:
         return original(dfa)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "recset" and getattr(module, "minimize", None) is original:
-            monkeypatch.setattr(module, "minimize", recording)
+        if name.split(".")[0] == "recset" and getattr(module, function, None) is original:
+            monkeypatch.setattr(module, function, recording)
     return inputs
 
 
@@ -276,10 +310,19 @@ def _count_minimize_calls(monkeypatch) -> list:
 ], ids=["refute", "syndetic", "nonempty", "empty"])
 def test_minimize_runs_at_most_once_per_set(monkeypatch, call):
     set_p, set_q = full_set(3), example1()  # a known-different pair
-    inputs = _count_minimize_calls(monkeypatch)
+    inputs = _record_calls(monkeypatch, "minimize")
     assert call(set_p, set_q) is not None
     assert inputs
     assert all(d is set_p.dfa or d is set_q.dfa for d in inputs)
+    assert sum(d is set_p.dfa for d in inputs) <= 1
+    assert sum(d is set_q.dfa for d in inputs) <= 1
+
+
+def test_refute_checks_each_set_for_infiniteness_once(monkeypatch):
+    set_p, set_q = full_set(3), example1()
+    inputs = _record_calls(monkeypatch, "has_infinite_language")
+    assert cross_base_refute(set_p, set_q) is not None
+    assert inputs
     assert sum(d is set_p.dfa for d in inputs) <= 1
     assert sum(d is set_q.dfa for d in inputs) <= 1
 
@@ -368,6 +411,17 @@ def test_gap_scan_multiples_and_naturals():
     assert gap_scan(multiples_of(3, 2), 10_000).max_gap == 3
     assert gap_scan(full_set(2), 100).max_gap == 1
     assert gap_scan(full_set(2), 100).positions[0] == (0, 1)
+
+
+def test_gap_scan_reaches_into_a_second_length():
+    # elements have 9 or 18 binary digits below this horizon: [256, 512) and [2**17, ...)
+    s, horizon = chain(10, 2), 2**17 + 1000
+    xs = scan_elements(s, horizon)
+    gaps = [(y - x, (x, y)) for x, y in zip(xs, xs[1:])]
+    best = max(g for g, _ in gaps)
+    result = gap_scan(s, horizon)
+    assert result.max_gap == best == 2**17 - 511
+    assert result.positions == tuple(pair for g, pair in gaps if g == best)
 
 
 def test_gap_scan_insufficient_data():
