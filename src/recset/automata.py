@@ -366,14 +366,8 @@ def _ordered_paths(rows, p: int, start: int, layers, t: int, first: int = 1,
     the exact-depth layer for the steps left, so every branch entered ends in
     a path.  `first` is the least first digit (0 for extension words).
     `bound`, a digit tuple of length t, keeps only values >= its value and is
-    the only source of dead ends.  Below an unconstrained prefix the last k
-    digits come from a per-state block of at most 128 values, made once by
-    this same walk.  Memory is O(t + 128 * states), never a whole length.
+    the only source of dead ends.  Memory is O(t), never a whole length.
     """
-    k = 1  # block length: the most digits with p**k <= 128, at least one
-    while p ** (k + 1) <= 128:
-        k += 1
-    blocks: dict[int, list[int]] = {}
     # frame: [state, next digit to try, prefix still equal to bound]; `value`
     # is the top frame's prefix, kept once so long words cost O(t) digits, not O(t**2)
     tight = bound is not None
@@ -383,15 +377,6 @@ def _ordered_paths(rows, p: int, start: int, layers, t: int, first: int = 1,
         frame = stack[-1]
         state, lo, tight = frame
         depth = len(stack) - 1
-        if depth and depth == t - k and not tight:
-            if state not in blocks:
-                blocks[state] = list(_ordered_paths(rows, p, state, layers, k, first=0))
-            prefix = value * p ** k
-            for tail in blocks[state]:
-                yield prefix + tail
-            del stack[-1]
-            value //= p
-            continue
         row = rows[state]
         layer = layers[t - depth - 1]
         for d in range(lo, p):

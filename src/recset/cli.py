@@ -237,9 +237,9 @@ def _add_io_flags(sub, out: bool = False) -> None:
                          help="write the automaton document here instead of stdout")
 
 
-def _add_search_flags(sub, m_min: bool = False) -> None:
+def _add_search_flags(sub, m_min: bool = False, cap_help: str = "search cap") -> None:
     sub.add_argument("--cap", type=int, default=DEFAULT_LENGTH_CAP,
-                     help="search cap (default 10000)")
+                     help=f"{cap_help} (default 10000)")
     if m_min:
         sub.add_argument("--m-min", type=int, default=1, dest="m_min",
                          help="smallest admissible m (default 1)")
@@ -336,9 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("file_p")
     sub.add_argument("file_q")
     _add_io_flags(sub)
-    sub.add_argument("--cap", type=int, default=DEFAULT_LENGTH_CAP,
-                     help="one cap shared by the witness searches (digit lengths tried) "
-                          "and the Kronecker search (values of l tried) (default 10000)")
+    _add_search_flags(sub, cap_help="one cap shared by the witness searches (digit lengths "
+                                    "tried) and the Kronecker search (values of l tried)")
     sub.set_defaults(func=_cmd_refute)
 
     sub = subs.add_parser("example1", help="write the built-in right-dense-but-gappy set")
