@@ -180,37 +180,56 @@ def _bfs_renumber(dfa: Dfa) -> Dfa:
 def minimize(dfa: Dfa) -> Dfa:
     """Canonical minimal trimmed automaton of the language.
 
-    Partition refinement runs on the completed automaton, the dead class is
-    trimmed away again, and states are renumbered breadth-first.  Because the
-    result is canonical, two automata recognize the same language iff their
-    minimized forms are equal.
+    Hopcroft's partition refinement runs on the completed automaton, the dead
+    class is trimmed away again, and states are renumbered breadth-first.
+    Refinement starts from {finals, non-finals} and a worklist of (block,
+    digit) splitters; the states with a digit-d step into the splitter block
+    cut every block they partly cover.  The smaller half of a cut block gets
+    the new block number and goes on the worklist for every digit: if the old
+    block was pending it still is, and either half serves as splitter once the
+    other has been used, so each state is in a splitter at most log2(n) times
+    per digit, O(n*p*log n) in all.  Because the result is canonical, two
+    automata recognize the same language iff their minimized forms are equal.
     """
     trimmed = trim(dfa)
     if not trimmed.finals:
         return trimmed  # canonical empty automaton
     c = complete(trimmed)
-    p, n = c.alphabet_size, c.state_count
-    rows = c.rows
-    block = [0 if s in c.finals else 1 for s in range(n)]
-    nblocks = len(set(block))
-    while True:
-        sigs: dict = {}
-        new = [0] * n
-        for s in range(n):
-            key = (block[s], tuple(block[rows[s][d]] for d in range(p)))
-            if key not in sigs:
-                sigs[key] = len(sigs)
-            new[s] = sigs[key]
-        if len(sigs) == nblocks:
-            block = new
-            break
-        block, nblocks = new, len(sigs)
-    transitions = {}
-    for s in range(n):
-        for d in range(p):
-            transitions[(block[s], d)] = block[rows[s][d]]
-    quotient = Dfa(p, nblocks, block[c.initial],
-                   frozenset(block[s] for s in c.finals), transitions)
+    p, n, delta = c.alphabet_size, c.state_count, c.transitions
+    preds: list[list[int]] = [[] for _ in range(p * n)]  # preds[d*n + t]: s with s -d-> t
+    for (s, d), t in delta.items():
+        preds[d * n + t].append(s)
+    blocks = [set(c.finals), set(range(n)).difference(c.finals)]
+    block_of = [0 if s in c.finals else 1 for s in range(n)]
+    work = [(int(len(blocks[1]) < len(blocks[0])), d) for d in range(p)]
+    if not blocks[1]:
+        blocks.pop()
+        work = []
+    while work:
+        b, d = work.pop()
+        cut: dict[int, list[int]] = {}
+        for t in blocks[b]:
+            for s in preds[d * n + t]:
+                cut.setdefault(block_of[s], []).append(s)
+        for y, inside in cut.items():
+            whole = blocks[y]
+            if len(inside) == len(whole):
+                continue
+            if 2 * len(inside) <= len(whole):
+                small = set(inside)
+                whole -= small
+            else:
+                small = whole.difference(inside)
+                blocks[y] = set(inside)
+            new = len(blocks)
+            blocks.append(small)
+            for s in small:
+                block_of[s] = new
+            work.extend((new, e) for e in range(p))
+    reps = [next(iter(members)) for members in blocks]
+    transitions = {(b, d): block_of[delta[(r, d)]] for b, r in enumerate(reps) for d in range(p)}
+    quotient = Dfa(p, len(blocks), block_of[c.initial],
+                   frozenset(block_of[s] for s in c.finals), transitions)
     return _bfs_renumber(trim(quotient))
 
 

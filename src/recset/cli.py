@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 negative verdict (false / not syndetic / dependent /
 absent), 2 usage or validation error, 3 search cap exceeded, 4 internal error
-(a self-check failed).  All errors go to stderr as a single line starting
-with "error: ".
+(a self-check failed, or an unexpected exception such as MemoryError).  All
+errors go to stderr as a single line starting with "error: ".
 """
 
 from __future__ import annotations
@@ -366,6 +366,9 @@ def main(argv=None) -> int:
         return 2
     except RecsetError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 4
+    except Exception as e:  # MemoryError included: a crash must not read as exit 1
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
 
 

@@ -339,8 +339,15 @@ def cross_base_refute(set_p: RecognizableSet, set_q: RecognizableSet, *,
     kw = kronecker_witness(nw.m, ew.m, nw.a, nw.b, ew.a, ew.b, p, q, cap=cap)
     depth = nw.a + nw.b * kw.k
     nf = set_p.normal_form
-    layers = [nf.finals]
-    _extend_layers(layers, nf.rows, nf.state_count, depth - 1)
+    layers: list[frozenset[int]] = [nf.finals]
+    first_at: dict[frozenset[int], int] = {}
+    while len(layers) < depth:
+        last = layers[-1]
+        if last in first_at:  # each layer is a function of the one before: periodic from here
+            layers.append(layers[first_at[last] + 1])
+        else:
+            first_at[last] = len(layers) - 1
+            _extend_layers(layers, nf.rows, nf.state_count, len(layers))
     # the least accepted extension word; leading zeros are fine after m's digits
     tail = next(_ordered_paths(nf.rows, p, nw.state, layers, depth, first=0), None)
     if tail is None:

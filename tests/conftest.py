@@ -9,12 +9,15 @@ import pytest
 from recset import (
     Dfa,
     RecognizableSet,
+    complete,
     encode,
     example1,
     has_infinite_language,
     member,
     restrict_to_canonical,
+    trim,
 )
+from recset.automata import _bfs_renumber
 
 
 def multiples_of(k: int, base: int) -> RecognizableSet:
@@ -106,6 +109,32 @@ def random_recognizable_sets(seed: int, count: int, bases=(2, 3),
 def example1_oracle(n: int) -> bool:
     """Closed form: n belongs iff its binary representation has odd length."""
     return n >= 1 and n.bit_length() % 2 == 1
+
+
+def moore_minimize(dfa: Dfa) -> Dfa:
+    """Minimization by Moore's quadratic refinement, the slow reference for `minimize`.
+
+    Every round re-splits all states by (block, block of each successor)
+    until the block count stops growing; the quotient then goes through the
+    same trim and breadth-first layout as `minimize`, so outputs compare with ==.
+    """
+    trimmed = trim(dfa)
+    if not trimmed.finals:
+        return trimmed
+    c = complete(trimmed)
+    p, n, rows = c.alphabet_size, c.state_count, c.rows
+    block = [0 if s in c.finals else 1 for s in range(n)]
+    nblocks = len(set(block))
+    while True:
+        sigs: dict = {}
+        block = [sigs.setdefault((block[s], tuple(block[rows[s][d]] for d in range(p))), len(sigs))
+                 for s in range(n)]
+        if len(sigs) == nblocks:
+            break
+        nblocks = len(sigs)
+    transitions = {(block[s], d): block[rows[s][d]] for s in range(n) for d in range(p)}
+    quotient = Dfa(p, nblocks, block[c.initial], frozenset(block[s] for s in c.finals), transitions)
+    return _bfs_renumber(trim(quotient))
 
 
 def scan_elements(s: RecognizableSet, bound: int) -> list[int]:

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recset import (
     Dfa,
@@ -33,6 +34,7 @@ from conftest import (
     example1_oracle,
     finite_set,
     full_set,
+    moore_minimize,
     multiples_of,
     powers_of_two,
     random_dfa,
@@ -165,6 +167,41 @@ def test_minimize_canonical_equality_matches_equivalence():
     for i in range(0, len(dfas) - 1, 2):
         d1, d2 = dfas[i], dfas[i + 1]
         assert (minimize(d1) == minimize(d2)) == equivalent(d1, d2)
+
+
+@st.composite
+def _dfas(draw) -> Dfa:
+    """Partial or complete automata of up to 60 states over bases 2, 3, 5 and 10.
+
+    A core of up to 20 states is laid out in 1-3 copies, and each transition
+    lands in a drawn copy of its core target, so copies of a state are
+    equivalent and refinement has classes to merge, not only to split.
+    """
+    base = draw(st.sampled_from((2, 3, 5, 10)))
+    core, copies = draw(st.integers(1, 20)), draw(st.integers(1, 3))
+    state = st.integers(0, core - 1)
+    if draw(st.booleans()):
+        keys = [(s, d) for s in range(core) for d in range(base)]
+        moves = dict(zip(keys, draw(st.lists(state, min_size=len(keys), max_size=len(keys)))))
+    else:
+        moves = draw(st.dictionaries(st.tuples(state, st.integers(0, base - 1)), state))
+    copy = st.integers(0, copies - 1)
+    transitions = {(s + core * i, d): t + core * draw(copy)
+                   for i in range(copies) for (s, d), t in moves.items()}
+    finals = frozenset(s + core * i for s in draw(st.frozensets(state)) for i in range(copies))
+    return Dfa(base, core * copies, draw(st.integers(0, core * copies - 1)), finals, transitions)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_dfas())
+def test_minimize_matches_moore_refinement(dfa):
+    assert minimize(dfa) == moore_minimize(dfa)
+
+
+def test_minimize_long_chain():
+    # words of up to n-2 digits are needed to tell the cycle's states apart, so
+    # Moore refinement takes about n rounds here (seconds); Hopcroft's does not
+    assert minimize(chain(2000, 2).dfa).state_count == 2000
 
 
 def test_product_boolean_algebra():

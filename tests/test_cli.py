@@ -165,6 +165,20 @@ def test_failed_self_check_exits_4(capsys, files, monkeypatch):
     assert err.startswith("error: internal: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("raised", [MemoryError("out of memory"), ValueError("bad value")],
+                         ids=["MemoryError", "ValueError"])
+def test_unexpected_exception_exits_4(capsys, files, monkeypatch, raised):
+    import recset.cli as cli
+
+    def crash(dfa):
+        raise raised
+
+    monkeypatch.setattr(cli, "minimize", crash)
+    code, out, err = run(capsys, "minimize", files["example1"])
+    assert (code, out) == (4, "")
+    assert err == f"error: internal: {type(raised).__name__}: {raised}\n"
+
+
 def test_indep_outputs(capsys):
     code, out, _ = run(capsys, "indep", "2", "3")
     assert (code, out) == (0, "independent\n")

@@ -8,6 +8,7 @@ import pytest
 
 from recset import (
     DigitWord,
+    KroneckerWitness,
     PreconditionError,
     SearchCapExceededError,
     ValidationError,
@@ -130,6 +131,16 @@ def test_kronecker_golden_value():
     assert verify_kronecker(w, 2, 1, 1, 1, 1, 1, 2, 3)
     # the chain concretely: 27 <= 32 < 48 <= 54
     assert 1 * 3**3 <= 2 * 2**4 < 3 * 2**4 <= 2 * 3**3
+
+
+def test_kronecker_lower_bound_met_with_equality():
+    # n*q**(c+d*l) <= m*p**(a+b*k) holds with equality at the answer,
+    # 8 * 3**2 == 9 * 2**3 == 72, so the float bracket's lower end is exact and
+    # any gate on it must admit an integer sitting right on the bound
+    assert 8 * 3**2 == 9 * 2**3 and 10 * 2**3 <= 9 * 3**2
+    w = kronecker_witness(9, 8, 1, 1, 1, 1, 2, 3)
+    assert w == KroneckerWitness(k=2, ell=1)
+    assert verify_kronecker(w, 9, 8, 1, 1, 1, 1, 2, 3)
 
 
 def test_kronecker_matches_oracle_on_small_tuples():

@@ -499,6 +499,35 @@ def test_refute_random_cross_base_pairs():
     assert certified > 0  # seed chosen so the pipeline actually fires
 
 
+def test_refute_certificate_layers_scan_only_to_the_first_repeat(monkeypatch):
+    import recset.witnesses as witnesses
+    set_p, set_q = chain(7, 5), chain(8, 2)
+    nf = set_p.normal_form
+    # reference: exact-depth layers, scanned up to and including the first repeat
+    ref = [nf.finals]
+    while ref[-1] not in ref[:-1]:
+        ref.append(frozenset(s for s in range(nf.state_count)
+                             if any(t in ref[-1] for t in nf.rows[s].values())))
+    pre = ref.index(ref[-1])
+    period = len(ref) - 1 - pre
+    captured = []
+    original = witnesses._ordered_paths
+
+    def spy(rows, p, start, layers, t, first=1, bound=None):
+        if first == 0:  # the certificate element's extension, not a witness search
+            captured.append((list(layers), t))
+        return original(rows, p, start, layers, t, first, bound)
+
+    monkeypatch.setattr(witnesses, "_ordered_paths", spy)
+    cert = cross_base_refute(set_p, set_q)
+    assert cert is not None and verify_contradiction(cert, set_p, set_q)
+    [(layers, depth)] = captured
+    assert depth > 10 * (pre + period)  # 377 digits after m, against 7 distinct layers
+    assert layers == [ref[i] if i < pre else ref[pre + (i - pre) % period] for i in range(depth)]
+    scans = len({id(layer) for layer in layers}) - 1  # layers[0] is the finals, not a scan
+    assert scans <= pre + period
+
+
 def test_refute_more_pairs():
     # multiples of 3 in base 2 against the naturals in base 3: the second set
     # has cofinite length sets everywhere, so this route cannot separate them
