@@ -9,75 +9,94 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice
+from itertools import cycle, islice
 from typing import Iterator
 
 from .errors import RecsetError, ValidationError
 from .numeration import DigitWord, encode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dfa:
     """A deterministic automaton over digits 0..alphabet_size-1.
 
-    States are the integers 0..state_count-1.  `transitions` maps
-    (state, digit) to a state and may omit pairs; omitted pairs reject.
+    States are the integers 0..state_count-1.  `rows[s]` is the tuple of the
+    alphabet_size targets of state s, with -1 for a missing transition;
+    missing transitions reject.  All states without transitions share one
+    row, so a declared state costs one reference.
+
+    The constructor takes the (state, digit) -> state map and validates it;
+    `transitions` gives that map back.  The library's own builders make rows
+    directly with `_from_rows`, which skips validation.
     """
 
     alphabet_size: int
-    state_count: int
     initial: int
     finals: frozenset[int]
-    transitions: dict[tuple[int, int], int]
+    rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(self, "transitions", dict(self.transitions))
-        if self.alphabet_size < 2:
-            raise ValidationError(f"alphabet size must be >= 2, got {self.alphabet_size}")
-        if self.state_count < 1:
-            raise ValidationError(f"state count must be >= 1, got {self.state_count}")
-        if not 0 <= self.initial < self.state_count:
-            raise ValidationError(f"initial state {self.initial} out of range")
-        for s in self.finals:
-            if not 0 <= s < self.state_count:
+    def __init__(self, alphabet_size: int, state_count: int, initial: int,
+                 finals, transitions) -> None:
+        finals = frozenset(finals)
+        if alphabet_size < 2:
+            raise ValidationError(f"alphabet size must be >= 2, got {alphabet_size}")
+        if state_count < 1:
+            raise ValidationError(f"state count must be >= 1, got {state_count}")
+        if not 0 <= initial < state_count:
+            raise ValidationError(f"initial state {initial} out of range")
+        for s in finals:
+            if not 0 <= s < state_count:
                 raise ValidationError(f"final state {s} out of range")
-        for (s, d), t in self.transitions.items():
-            if not 0 <= s < self.state_count or not 0 <= t < self.state_count:
+        partial: dict[int, list[int]] = {}
+        for (s, d), t in transitions.items():
+            if not 0 <= s < state_count or not 0 <= t < state_count:
                 raise ValidationError(f"transition ({s},{d})->{t} references a missing state")
-            if not 0 <= d < self.alphabet_size:
+            if not 0 <= d < alphabet_size:
                 raise ValidationError(f"transition digit {d} out of range")
+            if s not in partial:
+                partial[s] = [-1] * alphabet_size
+            partial[s][d] = t
+        rows = [(-1,) * alphabet_size] * state_count
+        for s, row in partial.items():
+            rows[s] = tuple(row)
+        self.__dict__.update(alphabet_size=alphabet_size, initial=initial,
+                             finals=finals, rows=tuple(rows))
 
-    @cached_property
-    def rows(self) -> tuple[dict[int, int], ...]:
-        """Per-state view of the transition map: rows[s][digit] -> state."""
-        rows: list[dict[int, int]] = [{} for _ in range(self.state_count)]
-        for (s, d), t in self.transitions.items():
-            rows[s][d] = t
-        return tuple(rows)
+    @classmethod
+    def _from_rows(cls, alphabet_size: int, initial: int, finals, rows) -> Dfa:
+        dfa = object.__new__(cls)
+        dfa.__dict__.update(alphabet_size=alphabet_size, initial=initial,
+                            finals=frozenset(finals), rows=tuple(rows))
+        return dfa
+
+    @property
+    def state_count(self) -> int:
+        return len(self.rows)
+
+    @property
+    def transitions(self) -> dict[tuple[int, int], int]:
+        """The (state, digit) -> state map, in state and digit order."""
+        return {(s, d): t for s, row in enumerate(self.rows)
+                for d, t in enumerate(row) if t >= 0}
 
     @property
     def is_complete(self) -> bool:
-        return len(self.transitions) == self.state_count * self.alphabet_size
-
-    def step(self, state: int, digit: int) -> int | None:
-        return self.transitions.get((state, digit))
+        return all(-1 not in row for row in self.rows)
 
     def walk(self, state: int, word) -> int | None:
         """Follow a digit word; None as soon as a transition is missing."""
         for d in word:
             if not 0 <= d < self.alphabet_size:
                 raise ValidationError(f"digit {d} out of range for alphabet size {self.alphabet_size}")
-            nxt = self.transitions.get((state, d))
-            if nxt is None:
+            state = self.rows[state][d]
+            if state < 0:
                 return None
-            state = nxt
         return state
 
 
 def empty_dfa(alphabet_size: int) -> Dfa:
     """Canonical automaton of the empty language: one non-final state, no transitions."""
-    return Dfa(alphabet_size, 1, 0, frozenset(), {})
+    return Dfa._from_rows(alphabet_size, 0, (), [(-1,) * alphabet_size])
 
 
 def accepts(dfa: Dfa, word) -> bool:
@@ -93,23 +112,24 @@ def _reachable(dfa: Dfa, sources=None) -> set[int]:
     seen = {dfa.initial} if sources is None else set(sources)
     stack = list(seen)
     while stack:
-        s = stack.pop()
-        for t in dfa.rows[s].values():
-            if t not in seen:
+        for t in dfa.rows[stack.pop()]:
+            if t >= 0 and t not in seen:
                 seen.add(t)
                 stack.append(t)
     return seen
 
 
-def _coaccessible(dfa: Dfa) -> set[int]:
-    preds: list[list[int]] = [[] for _ in range(dfa.state_count)]
-    for (s, _d), t in dfa.transitions.items():
-        preds[t].append(s)
-    seen = set(dfa.finals)
-    stack = list(dfa.finals)
+def _coaccessible(dfa: Dfa, reach: set[int]) -> set[int]:
+    """The states of `reach`, a set closed under transitions, that can reach a final state."""
+    preds: dict[int, list[int]] = {s: [] for s in reach}
+    for s in reach:
+        for t in dfa.rows[s]:
+            if t >= 0:
+                preds[t].append(s)
+    seen = reach & dfa.finals
+    stack = list(seen)
     while stack:
-        s = stack.pop()
-        for r in preds[s]:
+        for r in preds[stack.pop()]:
             if r not in seen:
                 seen.add(r)
                 stack.append(r)
@@ -121,34 +141,40 @@ def is_empty_language(dfa: Dfa) -> bool:
     return not (_reachable(dfa) & dfa.finals)
 
 
+def _renumbered(dfa: Dfa, order: list[int]) -> Dfa:
+    """The automaton on the states `order`, state order[i] becoming i.
+
+    The initial state must be in `order`; transitions into other states
+    become missing.
+    """
+    new = {old: i for i, old in enumerate(order)}
+    rows = [tuple(new.get(t, -1) for t in dfa.rows[s]) for s in order]
+    return Dfa._from_rows(dfa.alphabet_size, new[dfa.initial],
+                          [new[s] for s in dfa.finals if s in new], rows)
+
+
 def trim(dfa: Dfa) -> Dfa:
     """Keep exactly the states that are reachable from the initial state and can reach a final state.
 
     The language is unchanged.  When nothing survives, the canonical empty
     automaton is returned.  Surviving states keep their relative order, so an
-    already-trim automaton comes back unchanged.
+    already-trim automaton comes back unchanged.  Only reachable states are
+    visited.
     """
-    keep = _reachable(dfa) & _coaccessible(dfa)
+    keep = _coaccessible(dfa, _reachable(dfa))
     if dfa.initial not in keep:
         return empty_dfa(dfa.alphabet_size)
-    remap = {old: new for new, old in enumerate(sorted(keep))}
-    transitions = {(remap[s], d): remap[t]
-                   for (s, d), t in dfa.transitions.items()
-                   if s in keep and t in keep}
-    finals = frozenset(remap[s] for s in dfa.finals if s in keep)
-    return Dfa(dfa.alphabet_size, len(keep), remap[dfa.initial], finals, transitions)
+    return _renumbered(dfa, sorted(keep))
 
 
 def complete(dfa: Dfa) -> Dfa:
     """Total version of the automaton; adds one non-final sink if any transition is missing."""
     if dfa.is_complete:
         return dfa
-    sink = dfa.state_count
-    transitions = dict(dfa.transitions)
-    for s in range(dfa.state_count + 1):
-        for d in range(dfa.alphabet_size):
-            transitions.setdefault((s, d), sink)
-    return Dfa(dfa.alphabet_size, dfa.state_count + 1, dfa.initial, dfa.finals, transitions)
+    p, sink = dfa.alphabet_size, dfa.state_count
+    rows = [tuple(sink if t < 0 else t for t in row) for row in dfa.rows]
+    rows.append((sink,) * p)
+    return Dfa._from_rows(p, dfa.initial, dfa.finals, rows)
 
 
 def _bfs_renumber(dfa: Dfa) -> Dfa:
@@ -160,21 +186,14 @@ def _bfs_renumber(dfa: Dfa) -> Dfa:
     """
     order = {dfa.initial: 0}
     queue = [dfa.initial]
-    qi = 0
-    while qi < len(queue):
-        s = queue[qi]
-        qi += 1
-        row = dfa.rows[s]
-        for d in range(dfa.alphabet_size):
-            t = row.get(d)
-            if t is not None and t not in order:
+    for s in queue:
+        for t in dfa.rows[s]:
+            if t >= 0 and t not in order:
                 order[t] = len(order)
                 queue.append(t)
-    if len(order) != dfa.state_count:
+    if len(queue) != dfa.state_count:
         raise RecsetError("internal: renumbering requires a fully reachable automaton")
-    transitions = {(order[s], d): order[t] for (s, d), t in dfa.transitions.items()}
-    return Dfa(dfa.alphabet_size, dfa.state_count, 0,
-               frozenset(order[s] for s in dfa.finals), transitions)
+    return _renumbered(dfa, queue)
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -195,10 +214,11 @@ def minimize(dfa: Dfa) -> Dfa:
     if not trimmed.finals:
         return trimmed  # canonical empty automaton
     c = complete(trimmed)
-    p, n, delta = c.alphabet_size, c.state_count, c.transitions
+    p, n = c.alphabet_size, c.state_count
     preds: list[list[int]] = [[] for _ in range(p * n)]  # preds[d*n + t]: s with s -d-> t
-    for (s, d), t in delta.items():
-        preds[d * n + t].append(s)
+    for s, row in enumerate(c.rows):
+        for d, t in enumerate(row):
+            preds[d * n + t].append(s)
     blocks = [set(c.finals), set(range(n)).difference(c.finals)]
     block_of = [0 if s in c.finals else 1 for s in range(n)]
     work = [(int(len(blocks[1]) < len(blocks[0])), d) for d in range(p)]
@@ -226,10 +246,8 @@ def minimize(dfa: Dfa) -> Dfa:
             for s in small:
                 block_of[s] = new
             work.extend((new, e) for e in range(p))
-    reps = [next(iter(members)) for members in blocks]
-    transitions = {(b, d): block_of[delta[(r, d)]] for b, r in enumerate(reps) for d in range(p)}
-    quotient = Dfa(p, len(blocks), block_of[c.initial],
-                   frozenset(block_of[s] for s in c.finals), transitions)
+    rows = [tuple(block_of[t] for t in c.rows[next(iter(members))]) for members in blocks]
+    quotient = Dfa._from_rows(p, block_of[c.initial], {block_of[s] for s in c.finals}, rows)
     return _bfs_renumber(trim(quotient))
 
 
@@ -243,8 +261,9 @@ _PRODUCT_MODES = {
 def product(d1: Dfa, d2: Dfa, mode: str) -> Dfa:
     """Boolean combination of two languages over the same digit alphabet.
 
-    Both inputs are completed first, then the reachable pair automaton is
-    built; `mode` is one of "union", "intersection", "difference".
+    The reachable pair automaton of the two inputs, complete; a component
+    whose input has no transition becomes -1, the dead state, which no digit
+    leaves.  `mode` is one of "union", "intersection", "difference".
     """
     if mode not in _PRODUCT_MODES:
         raise ValidationError(f"unknown product mode {mode!r}")
@@ -252,34 +271,26 @@ def product(d1: Dfa, d2: Dfa, mode: str) -> Dfa:
         raise ValidationError(
             f"alphabet size mismatch: {d1.alphabet_size} vs {d2.alphabet_size}")
     combine = _PRODUCT_MODES[mode]
-    c1, c2 = complete(d1), complete(d2)
-    p = c1.alphabet_size
-    start = (c1.initial, c2.initial)
-    index = {start: 0}
-    queue = [start]
-    qi = 0
-    transitions = {}
-    while qi < len(queue):
-        pair = queue[qi]
-        src = index[pair]
-        qi += 1
-        s1, s2 = pair
-        for d in range(p):
-            nxt = (c1.rows[s1][d], c2.rows[s2][d])
+    p = d1.alphabet_size
+    dead = (-1,) * p
+    index = {(d1.initial, d2.initial): 0}
+    queue = list(index)
+    rows = []
+    for s1, s2 in queue:
+        row = []
+        for nxt in zip(d1.rows[s1] if s1 >= 0 else dead, d2.rows[s2] if s2 >= 0 else dead):
             if nxt not in index:
                 index[nxt] = len(index)
                 queue.append(nxt)
-            transitions[(src, d)] = index[nxt]
-    finals = frozenset(i for (s1, s2), i in index.items()
-                       if combine(s1 in c1.finals, s2 in c2.finals))
-    return Dfa(p, len(index), 0, finals, transitions)
+            row.append(index[nxt])
+        rows.append(tuple(row))
+    finals = [i for (s1, s2), i in index.items()
+              if combine(s1 in d1.finals, s2 in d2.finals)]
+    return Dfa._from_rows(p, 0, finals, rows)
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
     """Language equality, decided by emptiness of both set differences."""
-    if d1.alphabet_size != d2.alphabet_size:
-        raise ValidationError(
-            f"alphabet size mismatch: {d1.alphabet_size} vs {d2.alphabet_size}")
     return (is_empty_language(product(d1, d2, "difference"))
             and is_empty_language(product(d2, d1, "difference")))
 
@@ -294,7 +305,7 @@ def has_infinite_language(dfa: Dfa) -> bool:
     if not t.finals:
         return False
     n = t.state_count
-    succ = [set(t.rows[s].values()) for s in range(n)]
+    succ = [set(row).difference((-1,)) for row in t.rows]
     indeg = [0] * n
     for s in range(n):
         for v in succ[s]:
@@ -313,9 +324,8 @@ def has_infinite_language(dfa: Dfa) -> bool:
 
 def canonical_words_dfa(alphabet_size: int) -> Dfa:
     """The language of words with no leading zero (the empty word included)."""
-    transitions = {(0, d): 1 for d in range(1, alphabet_size)}
-    transitions.update({(1, d): 1 for d in range(alphabet_size)})
-    return Dfa(alphabet_size, 2, 0, frozenset({0, 1}), transitions)
+    rows = [(-1,) + (1,) * (alphabet_size - 1), (1,) * alphabet_size]
+    return Dfa._from_rows(alphabet_size, 0, (0, 1), rows)
 
 
 def restrict_to_canonical(dfa: Dfa) -> Dfa:
@@ -341,8 +351,8 @@ class RecognizableSet:
     contains_zero: bool = False
 
     def __post_init__(self):
-        target = self.dfa.step(self.dfa.initial, 0)
-        if target is not None and target in _coaccessible(self.dfa):
+        target = self.dfa.rows[self.dfa.initial][0]
+        if target >= 0 and target in _coaccessible(self.dfa, _reachable(self.dfa, [target])):
             raise ValidationError(
                 "automaton accepts a word with a leading zero; "
                 "apply restrict_to_canonical() or load leniently")
@@ -366,15 +376,20 @@ def member(s: RecognizableSet, n: int) -> bool:
     return accepts(s.dfa, encode(n, s.base))
 
 
-def _extend_layers(layers: list[frozenset[int]], rows, n: int, upto: int) -> None:
-    """Grow exact-depth coreachability layers until layers[upto] exists.
+def _exact_depth_layers(rows, targets) -> Iterator[frozenset[int]]:
+    """Layers r = 0, 1, 2, ...: the states with a path of exactly r steps into `targets`.
 
-    layers[r] holds the states with a path of exactly r steps into layers[0].
+    Each layer is a function of the one before, so the sequence is periodic
+    from its first repeated layer on, and at most preperiod + period layers
+    are scanned; later ones are yielded again by reference.
     """
-    while len(layers) <= upto:
-        prev = layers[-1]
-        layers.append(frozenset(s for s in range(n)
-                                if any(t in prev for t in rows[s].values())))
+    layer = frozenset(targets)
+    scanned: dict[frozenset[int], int] = {}
+    while layer not in scanned:
+        scanned[layer] = len(scanned)
+        yield layer
+        layer = frozenset(s for s, row in enumerate(rows) if any(t in layer for t in row))
+    yield from cycle(list(scanned)[scanned[layer]:])
 
 
 def _ordered_paths(rows, p: int, start: int, layers, t: int, first: int = 1,
@@ -399,7 +414,7 @@ def _ordered_paths(rows, p: int, start: int, layers, t: int, first: int = 1,
         row = rows[state]
         layer = layers[t - depth - 1]
         for d in range(lo, p):
-            if (nxt := row.get(d)) in layer:
+            if (nxt := row[d]) in layer:
                 if depth == t - 1:
                     yield value * p + d
                     continue
@@ -425,14 +440,12 @@ def iter_elements(s: RecognizableSet) -> Iterator[int]:
     if s.contains_zero:
         yield 0
     dfa = trim(s.dfa)
-    if not dfa.finals:
-        return
-    layers: list[frozenset[int]] = [frozenset(dfa.finals)]
-    for t in count(1):
-        _extend_layers(layers, dfa.rows, dfa.state_count, t - 1)
-        if not layers[t - 1]:
+    layers: list[frozenset[int]] = []
+    for layer in _exact_depth_layers(dfa.rows, dfa.finals):
+        if not layer:
             return
-        yield from _ordered_paths(dfa.rows, dfa.alphabet_size, dfa.initial, layers, t)
+        layers.append(layer)
+        yield from _ordered_paths(dfa.rows, dfa.alphabet_size, dfa.initial, layers, len(layers))
 
 
 def enumerate_elements(s: RecognizableSet, limit: int) -> list[int]:
@@ -445,25 +458,20 @@ def enumerate_elements(s: RecognizableSet, limit: int) -> list[int]:
 def right_dense(s: RecognizableSet) -> bool:
     """Does every digit word extend to a zero-padded representation of an element?
 
-    Built on the automaton of the zero-padded language (a fresh start state
-    absorbs leading zeros, then hands over to the set's automaton): after
-    completion, the language is right dense iff every reachable state can
-    still reach a final state.
+    In the automaton of the zero-padded language, a fresh start state reads
+    leading zeros and then hands over to the set's automaton.  The language
+    is right dense iff every state reachable from that start has every
+    transition and can still reach a final state.  The start itself then
+    qualifies through its nonzero digits, so only the states reachable from
+    the initial state's nonzero-digit targets are visited.
     """
     dfa = s.dfa
-    p = dfa.alphabet_size
-    pad = dfa.state_count  # fresh state that reads leading zeros
-    transitions = dict(dfa.transitions)
-    transitions[(pad, 0)] = pad
-    for d in range(1, p):
-        t = dfa.step(dfa.initial, d)
-        if t is not None:
-            transitions[(pad, d)] = t
-    finals = set(dfa.finals)
-    if s.contains_zero:
-        finals.add(pad)
-    padded = complete(Dfa(p, dfa.state_count + 1, pad, frozenset(finals), transitions))
-    return _reachable(padded) <= _coaccessible(padded)
+    firsts = dfa.rows[dfa.initial][1:]
+    if -1 in firsts:
+        return False
+    reach = _reachable(dfa, firsts)
+    return (all(-1 not in dfa.rows[r] for r in reach)
+            and len(_coaccessible(dfa, reach)) == len(reach))
 
 
 def example1() -> RecognizableSet:

@@ -121,7 +121,6 @@ def _cmd_profile(args) -> int:
     print(f"period: {prof.period}")
     print(f"head: {_digits_text(prof.head_bits)}")
     print(f"cycle: {_digits_text(prof.cycle_bits)}")
-    print(f"first_repeat: {prof.first_repeat[0]} {prof.first_repeat[1]}")
     threshold = cofinite_threshold(prof)
     print(f"cofinite_threshold: {'absent' if threshold is None else threshold}")
     return 0

@@ -32,15 +32,14 @@ _FIELDS = ("format_version", "base", "state_count", "initial",
 
 
 def document_from_set(s: RecognizableSet) -> dict:
-    """Plain-data document for a set; transitions sorted for determinism."""
-    transitions = sorted((src, d, dst) for (src, d), dst in s.dfa.transitions.items())
+    """Plain-data document for a set; transitions in (state, digit) order, for determinism."""
     return {
         "format_version": FORMAT_VERSION,
         "base": s.base,
         "state_count": s.dfa.state_count,
         "initial": s.dfa.initial,
         "finals": sorted(s.dfa.finals),
-        "transitions": [list(t) for t in transitions],
+        "transitions": [[src, d, dst] for (src, d), dst in s.dfa.transitions.items()],
         "contains_zero": s.contains_zero,
     }
 

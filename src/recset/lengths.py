@@ -8,7 +8,7 @@ and reduces it to minimal (preperiod, period) form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .automata import Dfa
 from .errors import SearchCapExceededError, ValidationError
@@ -23,7 +23,8 @@ def subset_step(dfa: Dfa, states) -> frozenset[int]:
     """
     out: set[int] = set()
     for s in states:
-        out.update(dfa.rows[s].values())
+        out.update(dfa.rows[s])
+    out.discard(-1)
     return frozenset(out)
 
 
@@ -33,16 +34,13 @@ class UltimatePeriod:
 
     bit(n) == head_bits[n] for n < preperiod, and
     bit(n) == cycle_bits[(n - preperiod) % period] for n >= preperiod.
-    Both preperiod and period are minimal for the sequence.  `first_repeat`
-    is debug metadata: the raw subset-recurrence indices (a, b) observed
-    before reduction; it does not participate in equality.
+    Both preperiod and period are minimal for the sequence.
     """
 
     preperiod: int
     period: int
     head_bits: tuple[int, ...]
     cycle_bits: tuple[int, ...]
-    first_repeat: tuple[int, int] = field(default=(0, 1), compare=False)
 
     def __post_init__(self):
         if self.period < 1:
@@ -103,8 +101,7 @@ def length_profile(dfa: Dfa, state: int, *, cap: int = DEFAULT_SUBSET_CAP) -> Ul
     pre = a
     while pre > 0 and bits[pre - 1] == bits[pre - 1 + period]:
         pre -= 1
-    return UltimatePeriod(pre, period, tuple(bits[:pre]),
-                          tuple(bits[pre:pre + period]), first_repeat=(a, b))
+    return UltimatePeriod(pre, period, tuple(bits[:pre]), tuple(bits[pre:pre + period]))
 
 
 def cofinite_threshold(profile: UltimatePeriod) -> int | None:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Union
 
 from .automata import (
     Dfa,
     RecognizableSet,
-    _extend_layers,
+    _exact_depth_layers,
     _ordered_paths,
     _reachable,
     has_infinite_language,
@@ -138,11 +139,13 @@ def _min_value_path(dfa: Dfa, targets, min_value: int,
     of min_value itself, is bounded below by min_value's digits.  Returns
     (value, end_state).
     """
-    layers = [frozenset(targets)]
     bound = encode(min_value, dfa.alphabet_size).digits
     first_len = len(bound)
-    for t in range(first_len, first_len + length_cap + 1):
-        _extend_layers(layers, dfa.rows, dfa.state_count, t - 1)
+    layers: list[frozenset[int]] = []
+    for layer in islice(_exact_depth_layers(dfa.rows, targets), first_len + length_cap):
+        layers.append(layer)
+        if (t := len(layers)) < first_len:
+            continue
         value = next(_ordered_paths(dfa.rows, dfa.alphabet_size, dfa.initial, layers, t,
                                     bound=bound if t == first_len else None), None)
         if value is not None:
@@ -202,8 +205,7 @@ def _qualifying_profiles(s: RecognizableSet) -> dict[int, UltimatePeriod]:
     too.
     """
     dfa = s.normal_form
-    firsts = [t for d, t in dfa.rows[dfa.initial].items() if d]
-    return {st: length_profile(dfa, st) for st in _reachable(dfa, firsts)}
+    return {st: length_profile(dfa, st) for st in _reachable(dfa, dfa.rows[dfa.initial][1:])}
 
 
 def _witness(s: RecognizableSet, profiles: dict[int, UltimatePeriod], kind: str,
@@ -339,15 +341,7 @@ def cross_base_refute(set_p: RecognizableSet, set_q: RecognizableSet, *,
     kw = kronecker_witness(nw.m, ew.m, nw.a, nw.b, ew.a, ew.b, p, q, cap=cap)
     depth = nw.a + nw.b * kw.k
     nf = set_p.normal_form
-    layers: list[frozenset[int]] = [nf.finals]
-    first_at: dict[frozenset[int], int] = {}
-    while len(layers) < depth:
-        last = layers[-1]
-        if last in first_at:  # each layer is a function of the one before: periodic from here
-            layers.append(layers[first_at[last] + 1])
-        else:
-            first_at[last] = len(layers) - 1
-            _extend_layers(layers, nf.rows, nf.state_count, len(layers))
+    layers = list(islice(_exact_depth_layers(nf.rows, nf.finals), depth))
     # the least accepted extension word; leading zeros are fine after m's digits
     tail = next(_ordered_paths(nf.rows, p, nw.state, layers, depth, first=0), None)
     if tail is None:

@@ -146,7 +146,7 @@ def _qualifying_all_cofinite(s) -> bool:
     stack = list(frontier)
     while stack:
         st = stack.pop()
-        for t in rows[st].values():
+        for t in rows[st]:
             if t not in seen:
                 seen.add(t)
                 stack.append(t)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from recset import (
     accepts,
     canonical_words_dfa,
     complete,
+    document_from_set,
     empty_dfa,
     encode,
     enumerate_elements,
@@ -27,6 +29,7 @@ from recset import (
     product,
     restrict_to_canonical,
     right_dense,
+    set_from_document,
     trim,
 )
 from conftest import (
@@ -198,6 +201,36 @@ def test_minimize_matches_moore_refinement(dfa):
     assert minimize(dfa) == moore_minimize(dfa)
 
 
+@st.composite
+def _partial_dfas(draw, base: int) -> Dfa:
+    """Partial automata of up to 40 states over digits 0..base-1.
+
+    Transitions run among the first `live` states only, so the states from
+    `live` on are isolated; the initial state may be one of them.
+    """
+    n = draw(st.integers(1, 40))
+    live = st.integers(0, draw(st.integers(1, n)) - 1)
+    transitions = draw(st.dictionaries(st.tuples(live, st.integers(0, base - 1)), live))
+    finals = draw(st.frozensets(st.integers(0, n - 1)))
+    return Dfa(base, n, draw(st.integers(0, n - 1)), finals, transitions)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 3, 5, 10)).flatmap(lambda base: st.tuples(_partial_dfas(base),
+                                                                       _partial_dfas(base))),
+       st.booleans())
+def test_builders_output_what_the_validating_constructor_accepts(pair, contains_zero):
+    # trim, complete, minimize, product and restrict_to_canonical skip validation
+    d1, d2 = pair
+    built = [trim(d1), complete(d1), complete(trim(d1)), minimize(d1),
+             restrict_to_canonical(d1)]
+    built += [product(d1, d2, mode) for mode in ("union", "intersection", "difference")]
+    for d in built:
+        assert Dfa(d.alphabet_size, d.state_count, d.initial, d.finals, d.transitions) == d
+    s = RecognizableSet(restrict_to_canonical(d1), contains_zero)
+    assert set_from_document(document_from_set(s)) == s
+
+
 def test_minimize_long_chain():
     # words of up to n-2 digits are needed to tell the cycle's states apart, so
     # Moore refinement takes about n rounds here (seconds); Hopcroft's does not
@@ -302,6 +335,23 @@ def test_enumeration_is_lazy_within_a_length():
         tracemalloc.stop()
     assert got == [2**18, 2**18 + 1, 2**18 + 2]
     assert peak < 1 << 20
+
+
+def test_enumeration_scans_layers_only_to_the_first_repeat(monkeypatch):
+    # each length's walk is cut to its first element, so 199 lengths come quickly
+    import recset.automata as automata
+    seen = []
+    original = automata._ordered_paths
+
+    def first_only(rows, p, start, layers, t, first=1, bound=None):
+        seen.extend(layers)
+        return islice(original(rows, p, start, layers, t, first, bound), 1)
+
+    monkeypatch.setattr(automata, "_ordered_paths", first_only)
+    got = enumerate_elements(example1(), 100)  # one element per odd length 1..199
+    assert got == [4**i for i in range(100)]
+    scans = len({id(layer) for layer in seen}) - 1  # the first layer is the finals, not a scan
+    assert scans <= 3
 
 
 def test_recognizable_set_rejects_leading_zero_acceptance():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -248,3 +249,23 @@ def test_output_determinism(capsys, files):
     first = run(capsys, "refute", files["nat3"], files["example1"])
     second = run(capsys, "refute", files["nat3"], files["example1"])
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [["trim"], ["minimize"], ["right-dense"], ["syndetic"],
+                                  ["profile", "1"], ["witness-empty"], ["enum", "3"]])
+def test_cost_follows_reachable_states_not_declared_ones(capsys, tmp_path, argv):
+    # example1's 3-state language in a document that declares a million states
+    from recset import document_from_set, example1
+    doc = document_from_set(example1())
+    doc["state_count"] = 1_000_000
+    path = tmp_path / "overdeclared.aut"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = main([argv[0], str(path)] + argv[1:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code in (0, 1)
+    assert peak < 40 << 20

@@ -507,7 +507,7 @@ def test_refute_certificate_layers_scan_only_to_the_first_repeat(monkeypatch):
     ref = [nf.finals]
     while ref[-1] not in ref[:-1]:
         ref.append(frozenset(s for s in range(nf.state_count)
-                             if any(t in ref[-1] for t in nf.rows[s].values())))
+                             if any(t in ref[-1] for t in nf.rows[s])))
     pre = ref.index(ref[-1])
     period = len(ref) - 1 - pre
     captured = []
