@@ -1,13 +1,17 @@
 """Per-state length sets and their ultimately periodic structure.
 
-For a state s, the length set is { |w| : w drives s into a final state }.
-Its indicator sequence is ultimately periodic because the one-step subset map
-ranges over the finite powerset of states; this module finds that recurrence
-and reduces it to minimal (preperiod, period) form.
+For a state s, the length set is { |w| : w drives s into a final state }; its
+indicator sequence is ultimately periodic.  `length_profile` (and the witness
+verifiers) walk the subset map forward from {s} to its first repeat;
+`_reachable_profiles` profiles every state reachable from some sources in one
+pass over the strongly connected components, successors first, by the backward
+recurrence bit_s(r) = OR over digits d of bit_delta(s,d)(r - 1).  Both reduce
+to minimal (preperiod, period) form the same way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .automata import Dfa
@@ -54,54 +58,129 @@ class UltimatePeriod:
         return self.cycle_bits[(n - self.preperiod) % self.period]
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _min_period(seq, a: int, window: int) -> int:
+    """Least period of seq[a:a + window], read cyclically; it divides the window."""
+    return next(c for c in range(1, window + 1) if window % c == 0
+                and all(seq[a + i] == seq[a + (i + c) % window] for i in range(window)))
+
+
+def _reduced(bits, a: int, period: int) -> UltimatePeriod:
+    """The minimal profile of bits, known to have `period` as its least period from a on."""
+    pre = a
+    while pre > 0 and bits[pre - 1] == bits[pre - 1 + period]:
+        pre -= 1
+    return UltimatePeriod(pre, period, tuple(bits[:pre]), tuple(bits[pre:pre + period]))
+
+
+def _forward_walk(dfa: Dfa, state: int, cap: int | None = None):
+    """(walk, preperiod, period): the subsets reached from {state} up to the first repeat.
+
+    Depth n >= preperiod reaches walk[preperiod + (n - preperiod) % period].
+    """
+    walk = [frozenset({state})]
+    first_seen = {walk[0]: 0}
+    while (nxt := subset_step(dfa, walk[-1])) not in first_seen:
+        if len(walk) == cap:
+            raise SearchCapExceededError(f"no subset recurrence within {cap} steps", cap=cap)
+        first_seen[nxt] = len(walk)
+        walk.append(nxt)
+    pre = first_seen[nxt]
+    return walk, pre, len(walk) - pre
 
 
 def length_profile(dfa: Dfa, state: int, *, cap: int = DEFAULT_SUBSET_CAP) -> UltimatePeriod:
     """Ultimately periodic profile of the lengths accepted from `state`.
 
-    Iterates the subset map from {state}, recording for each depth whether the
-    reached subset meets the final states, until a subset repeats (guaranteed
-    within 2**state_count steps).  The observed recurrence (a, b) is then
-    reduced: the minimal period divides b - a, and the minimal preperiod is
-    found by walking backwards.
+    Walks the subset map forward from {state} to its first repeated subset,
+    recording whether each reached subset meets the final states, and reduces
+    the observed recurrence to minimal form.
     """
     if not 0 <= state < dfa.state_count:
         raise ValidationError(f"state {state} out of range")
-    finals = dfa.finals
-    current: frozenset[int] = frozenset({state})
-    seen = {current: 0}
-    bits = [1 if current & finals else 0]
-    a = b = 0
-    for n in range(1, cap + 1):
-        current = subset_step(dfa, current)
-        if current in seen:
-            a, b = seen[current], n
-            break
-        seen[current] = n
-        bits.append(1 if current & finals else 0)
-    else:
-        raise SearchCapExceededError(f"no subset recurrence within {cap} steps", cap=cap)
+    walk, a, window = _forward_walk(dfa, state, cap)
+    bits = [1 if subset & dfa.finals else 0 for subset in walk]
+    return _reduced(bits, a, _min_period(bits, a, window))
 
-    window = b - a
-    period = window
-    for cand in _divisors(window):
-        if all(bits[a + i] == bits[a + (i + cand) % window] for i in range(window)):
-            period = cand
-            break
-    pre = a
-    while pre > 0 and bits[pre - 1] == bits[pre - 1 + period]:
-        pre -= 1
-    return UltimatePeriod(pre, period, tuple(bits[:pre]), tuple(bits[pre:pre + period]))
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _component_profiles(dfa: Dfa, comp: list[int], profiles: dict) -> None:
+    """Profile one strongly connected component, its successors already profiled.
+
+    Bit i of v(r) says whether comp[i] accepts a length-r word.  Past every
+    exit's preperiod the exit bits depend only on r mod the lcm of the exit
+    periods, so the sequence recurs once (v(r), r mod lcm) repeats.  All
+    states of a component share one minimal period: each length set holds a
+    shift of every other one.
+    """
+    local = {s: i for i, s in enumerate(comp)}
+    preds, exits = [0] * len(comp), {}
+    for i, s in enumerate(comp):
+        for t in dfa.rows[s]:
+            if t in local:
+                preds[local[t]] |= 1 << i
+            elif t >= 0:
+                exits[t] = exits.get(t, 0) | 1 << i
+    outside = [(profiles[t], mask) for t, mask in exits.items()]
+    settled = max((prof.preperiod for prof, _ in outside), default=0)
+    lcm = math.lcm(*(prof.period for prof, _ in outside))
+    v = sum(1 << i for i, s in enumerate(comp) if s in dfa.finals)
+    vectors, seen = [], {}
+    while (r := len(vectors)) < settled or (v, r % lcm) not in seen:
+        if r >= settled:
+            seen[v, r % lcm] = r
+        vectors.append(v)
+        nxt = 0
+        for prof, mask in outside:
+            if prof.bit(r):
+                nxt |= mask
+        while v:  # the predecessors of every set bit
+            low = v & -v
+            nxt |= preds[low.bit_length() - 1]
+            v ^= low
+        v = nxt
+    a = seen[v, r % lcm]
+    period = _min_period(vectors, a, r - a)
+    # transpose depths 0 .. a + period - 1 into one tuple of bits per state
+    width = f"0{len(comp)}b"
+    columns = zip(*(format(w, width)[::-1].encode().translate(_BITS) for w in vectors[:a + period]))
+    profiles.update((s, _reduced(bits, a, period)) for s, bits in zip(comp, columns))
+
+
+def _reachable_profiles(dfa: Dfa, sources) -> dict[int, UltimatePeriod]:
+    """Length profile of every state reachable from `sources`, sources included.
+
+    Tarjan's algorithm on an explicit stack yields the components successors first.
+    """
+    rows, profiles = dfa.rows, {}
+    index, low, stack = {}, {}, []
+
+    def enter(s):
+        index[s] = low[s] = len(index)
+        stack.append(s)
+        return s, (t for t in rows[s] if t >= 0)
+
+    for root in sources:
+        work = [] if root in index else [enter(root)]
+        while work:
+            s, targets = work[-1]
+            for t in targets:
+                if t not in index:
+                    work.append(enter(t))
+                    break
+                if t not in profiles:  # still on the stack
+                    low[s] = min(low[s], index[t])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[s])
+                if low[s] == index[s]:
+                    comp = [stack.pop()]
+                    while comp[-1] != s:
+                        comp.append(stack.pop())
+                    _component_profiles(dfa, comp, profiles)
+    return profiles
 
 
 def cofinite_threshold(profile: UltimatePeriod) -> int | None:

@@ -21,7 +21,6 @@ from .automata import (
     RecognizableSet,
     _exact_depth_layers,
     _ordered_paths,
-    _reachable,
     has_infinite_language,
     iter_elements,
     member,
@@ -34,7 +33,7 @@ from .errors import (
     SearchCapExceededError,
     ValidationError,
 )
-from .lengths import UltimatePeriod, cofinite_threshold, length_profile, subset_step
+from .lengths import UltimatePeriod, _forward_walk, _reachable_profiles, cofinite_threshold
 from .numeration import (
     DEFAULT_KRONECKER_CAP,
     KroneckerWitness,
@@ -178,13 +177,7 @@ def verify_interval_witness(s: RecognizableSet, w: IntervalWitness) -> bool:
     dfa = s.normal_form
     if dfa.walk(dfa.initial, encode(w.m, s.base)) != w.state:
         return False
-    walk = [frozenset({w.state})]
-    first_seen = {walk[0]: 0}
-    while (nxt := subset_step(dfa, walk[-1])) not in first_seen:
-        first_seen[nxt] = len(walk)
-        walk.append(nxt)
-    pre = first_seen[nxt]
-    period = len(walk) - pre
+    walk, pre, period = _forward_walk(dfa, w.state)
     want = w.kind == "nonempty"
     strides = -(-max(0, pre - w.a) // w.b) + period // math.gcd(w.b, period)
     for k in range(strides):
@@ -205,7 +198,7 @@ def _qualifying_profiles(s: RecognizableSet) -> dict[int, UltimatePeriod]:
     too.
     """
     dfa = s.normal_form
-    return {st: length_profile(dfa, st) for st in _reachable(dfa, dfa.rows[dfa.initial][1:])}
+    return _reachable_profiles(dfa, dfa.rows[dfa.initial][1:])
 
 
 def _witness(s: RecognizableSet, profiles: dict[int, UltimatePeriod], kind: str,

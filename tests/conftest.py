@@ -60,6 +60,25 @@ def chain(n: int, base: int) -> RecognizableSet:
     return RecognizableSet(Dfa(base, n, 0, frozenset({n - 1}), transitions))
 
 
+def prime_cycles(base: int = 10) -> RecognizableSet:
+    """The leading digit picks one of seven cycles of prime lengths 2..17.
+
+    Each cycle's entry state is its only final state, so a number belongs iff
+    its digit count less one is a multiple of its cycle's length.
+    """
+    transitions, entries = {}, []
+    for p in (2, 3, 5, 7, 11, 13, 17):
+        entry = 1 + len(transitions) // base
+        entries.append(entry)
+        for j in range(p):
+            for d in range(base):
+                transitions[(entry + j, d)] = entry + (j + 1) % p
+    n = 1 + len(transitions) // base
+    for d in range(1, base):
+        transitions[(0, d)] = entries[(d - 1) % len(entries)]
+    return RecognizableSet(Dfa(base, n, 0, frozenset(entries), transitions))
+
+
 def finite_set(values, base: int) -> RecognizableSet:
     """Trie automaton accepting exactly the given values."""
     words = [encode(v, base).digits for v in sorted(set(values)) if v > 0]

@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recset import (
     Dfa,
@@ -19,6 +20,8 @@ from recset import (
     subset_step,
     trim,
 )
+from recset.automata import _reachable
+from recset.lengths import _reachable_profiles
 from conftest import multiples_of, random_dfa
 
 
@@ -179,3 +182,51 @@ def test_profiles_of_mod3_base2_states():
     prof = length_profile(dfa, dfa.initial)
     assert prof.bit(0) == 0
     assert all(prof.bit(n) == 1 for n in range(2, 20))
+
+
+# -- the per-component engine against the single-state walk ------------------
+
+@st.composite
+def _blocked_dfas(draw):
+    """Partial automata of up to 40 states over bases 2, 3, 5 and 10, with sources.
+
+    States come in blocks, and no transition leads back to an earlier block.
+    A cycle block follows its cycle on digit 0 (a self-loop for a block of
+    one); its other digits follow the cycle too, go missing, or exit to a
+    later block.  A free block's transitions go anywhere in it or later, or
+    are missing.  So there are several components, sinks, and exits into
+    cycles of different periods.
+    """
+    base = draw(st.sampled_from((2, 3, 5, 10)))
+    sizes, n = [], 0
+    for size in draw(st.lists(st.integers(1, 17), min_size=1, max_size=6)):
+        if n + size <= 40:
+            sizes.append(size)
+            n += size
+    transitions, lo = {}, 0
+    for size in sizes:
+        cycle = draw(st.booleans())
+        for s in range(lo, lo + size):
+            following = lo + (s - lo + 1) % size
+            later = st.integers(lo + size, n - 1) if lo + size < n else st.nothing()
+            for d in range(base):
+                if cycle:
+                    t = following if d == 0 else draw(st.sampled_from((None, following)) | later)
+                else:
+                    t = draw(st.none() | st.integers(lo, n - 1))
+                if t is not None:
+                    transitions[(s, d)] = t
+        lo += size
+    finals = draw(st.frozensets(st.integers(0, n - 1)))
+    dfa = Dfa(base, n, 0, finals, transitions)
+    return dfa, draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_blocked_dfas())
+def test_component_engine_equals_the_forward_walk(case):
+    dfa, sources = case
+    profiles = _reachable_profiles(dfa, sources)
+    assert set(profiles) == _reachable(dfa, sources)
+    for state, prof in profiles.items():
+        assert prof == length_profile(dfa, state)

@@ -39,6 +39,7 @@ from conftest import (
     full_set,
     multiples_of,
     powers_of_two,
+    prime_cycles,
     random_recognizable_sets,
     scan_elements,
 )
@@ -286,15 +287,17 @@ def test_verify_matches_a_deep_stride_walk():
     assert 0 < held < checked
 
 
-def _record_calls(monkeypatch, function: str) -> list:
-    """Route every recset binding of an automata function through a recorder of its inputs."""
-    from recset import automata
-    original = getattr(automata, function)
+def _record_calls(monkeypatch, function: str, owner: str = "automata") -> list:
+    """Route every recset binding of an `owner` module's function through a recorder.
+
+    The recorder keeps each call's first argument.
+    """
+    original = getattr(sys.modules[f"recset.{owner}"], function)
     inputs = []
 
-    def recording(dfa):
-        inputs.append(dfa)
-        return original(dfa)
+    def recording(first, *args, **kwargs):
+        inputs.append(first)
+        return original(first, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "recset" and getattr(module, function, None) is original:
@@ -325,6 +328,30 @@ def test_refute_checks_each_set_for_infiniteness_once(monkeypatch):
     assert inputs
     assert sum(d is set_p.dfa for d in inputs) <= 1
     assert sum(d is set_q.dfa for d in inputs) <= 1
+
+
+def test_qualifying_profiles_take_no_single_state_walk(monkeypatch):
+    # 2001 qualifying states share one component, profiled in one pass
+    walks = _record_calls(monkeypatch, "length_profile", "lengths")
+    steps = _record_calls(monkeypatch, "subset_step", "lengths")
+    assert isinstance(syndetic_decide(multiples_of(2001, 2)), Syndetic)
+    assert walks == [] and steps == []
+
+
+def test_prime_cycles_are_profiled_one_component_at_a_time(monkeypatch):
+    # one pass over all seven cycles together would run lcm(2..17) = 510510 depths;
+    # `_min_period` receives each pass's whole history of vectors
+    histories = _record_calls(monkeypatch, "_min_period", "lengths")
+    s = prime_cycles()
+    assert isinstance(syndetic_decide(s), NotSyndetic)
+    assert sorted(len(h) for h in histories) == [2, 3, 5, 7, 11, 13, 17]
+
+
+def test_single_state_profile_walks_only_its_own_recurrence(monkeypatch):
+    steps = _record_calls(monkeypatch, "subset_step", "lengths")
+    prof = length_profile(chain(1000, 2).dfa, 5)
+    assert prof.period == 999
+    assert len(steps) <= 1000
 
 
 # -- syndeticity --------------------------------------------------------------
