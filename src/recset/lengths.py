@@ -79,13 +79,14 @@ def _forward_walk(dfa: Dfa, state: int, cap: int | None = None):
     """
     walk = [frozenset({state})]
     first_seen = {walk[0]: 0}
-    while (nxt := subset_step(dfa, walk[-1])) not in first_seen:
-        if len(walk) == cap:
-            raise SearchCapExceededError(f"no subset recurrence within {cap} steps", cap=cap)
+    while cap is None or len(walk) <= cap:  # step len(walk) is the next one
+        nxt = subset_step(dfa, walk[-1])
+        if nxt in first_seen:
+            pre = first_seen[nxt]
+            return walk, pre, len(walk) - pre
         first_seen[nxt] = len(walk)
         walk.append(nxt)
-    pre = first_seen[nxt]
-    return walk, pre, len(walk) - pre
+    raise SearchCapExceededError(f"no subset recurrence within {cap} steps", cap=cap)
 
 
 def length_profile(dfa: Dfa, state: int, *, cap: int = DEFAULT_SUBSET_CAP) -> UltimatePeriod:
@@ -102,9 +103,6 @@ def length_profile(dfa: Dfa, state: int, *, cap: int = DEFAULT_SUBSET_CAP) -> Ul
     return _reduced(bits, a, _min_period(bits, a, window))
 
 
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _component_profiles(dfa: Dfa, comp: list[int], profiles: dict) -> None:
     """Profile one strongly connected component, its successors already profiled.
 
@@ -112,7 +110,8 @@ def _component_profiles(dfa: Dfa, comp: list[int], profiles: dict) -> None:
     exit's preperiod the exit bits depend only on r mod the lcm of the exit
     periods, so the sequence recurs once (v(r), r mod lcm) repeats.  All
     states of a component share one minimal period: each length set holds a
-    shift of every other one.
+    shift of every other one.  A recurrence longer than DEFAULT_SUBSET_CAP
+    depths raises SearchCapExceededError, as the forward walk does.
     """
     local = {s: i for i, s in enumerate(comp)}
     preds, exits = [0] * len(comp), {}
@@ -125,9 +124,14 @@ def _component_profiles(dfa: Dfa, comp: list[int], profiles: dict) -> None:
     outside = [(profiles[t], mask) for t, mask in exits.items()]
     settled = max((prof.preperiod for prof, _ in outside), default=0)
     lcm = math.lcm(*(prof.period for prof, _ in outside))
+    # no key can repeat before depth settled + lcm: stop at once if that is past the cap
+    stop = 0 if settled + lcm > DEFAULT_SUBSET_CAP else DEFAULT_SUBSET_CAP
     v = sum(1 << i for i, s in enumerate(comp) if s in dfa.finals)
     vectors, seen = [], {}
     while (r := len(vectors)) < settled or (v, r % lcm) not in seen:
+        if r == stop:
+            raise SearchCapExceededError(f"no length recurrence within {DEFAULT_SUBSET_CAP} steps",
+                                         cap=DEFAULT_SUBSET_CAP)
         if r >= settled:
             seen[v, r % lcm] = r
         vectors.append(v)
@@ -142,10 +146,8 @@ def _component_profiles(dfa: Dfa, comp: list[int], profiles: dict) -> None:
         v = nxt
     a = seen[v, r % lcm]
     period = _min_period(vectors, a, r - a)
-    # transpose depths 0 .. a + period - 1 into one tuple of bits per state
-    width = f"0{len(comp)}b"
-    columns = zip(*(format(w, width)[::-1].encode().translate(_BITS) for w in vectors[:a + period]))
-    profiles.update((s, _reduced(bits, a, period)) for s, bits in zip(comp, columns))
+    for i, s in enumerate(comp):
+        profiles[s] = _reduced([w >> i & 1 for w in vectors[:a + period]], a, period)
 
 
 def _reachable_profiles(dfa: Dfa, sources) -> dict[int, UltimatePeriod]:

@@ -60,22 +60,28 @@ def chain(n: int, base: int) -> RecognizableSet:
     return RecognizableSet(Dfa(base, n, 0, frozenset({n - 1}), transitions))
 
 
-def prime_cycles(base: int = 10) -> RecognizableSet:
-    """The leading digit picks one of seven cycles of prime lengths 2..17.
+def prime_cycles(base: int = 10, primes=(2, 3, 5, 7, 11, 13, 17),
+                 fan_out: bool = False) -> RecognizableSet:
+    """The leading digit picks one of the cycles of the given prime lengths.
 
     Each cycle's entry state is its only final state, so a number belongs iff
-    its digit count less one is a multiple of its cycle's length.
+    its digit count less one is a multiple of its cycle's length.  With
+    `fan_out`, the only leading digit is 1, it leads to one state, and the
+    second digit picks the cycle from there: the lengths accepted from that
+    state recur only after the lcm of the primes.
     """
-    transitions, entries = {}, []
-    for p in (2, 3, 5, 7, 11, 13, 17):
-        entry = 1 + len(transitions) // base
-        entries.append(entry)
+    transitions, entries, n = {}, [], 2 if fan_out else 1
+    for p in primes:
+        entries.append(n)
         for j in range(p):
             for d in range(base):
-                transitions[(entry + j, d)] = entry + (j + 1) % p
-    n = 1 + len(transitions) // base
-    for d in range(1, base):
-        transitions[(0, d)] = entries[(d - 1) % len(entries)]
+                transitions[(n + j, d)] = n + (j + 1) % p
+        n += p
+    picker = 1 if fan_out else 0
+    if fan_out:
+        transitions[(0, 1)] = picker
+    for d in range(1 - picker, base):
+        transitions[(picker, d)] = entries[(d - 1 + picker) % len(entries)]
     return RecognizableSet(Dfa(base, n, 0, frozenset(entries), transitions))
 
 

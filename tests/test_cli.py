@@ -9,7 +9,7 @@ import pytest
 
 from recset import write_automaton
 from recset.cli import main
-from conftest import finite_set, full_set, multiples_of, powers_of_two
+from conftest import finite_set, full_set, multiples_of, powers_of_two, prime_cycles
 
 
 @pytest.fixture()
@@ -134,6 +134,16 @@ def test_kronecker_error_exit_codes(capsys):
     code, _, err = run(capsys, "kronecker", "2", "1", "1", "1", "1", "1", "2", "3", "--cap", "1")
     assert code == 3
     assert err.startswith("error: ")
+
+
+def test_profile_recurrences_past_the_cap_exit_3(capsys, files, tmp_path):
+    # lengths accepted after the leading 1 recur only every lcm(2..29) digits
+    fan = str(tmp_path / "fan.aut")
+    write_automaton(fan, prime_cycles(primes=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29), fan_out=True))
+    for argv in (["syndetic", fan], ["witness-empty", fan], ["refute", files["mult3b2"], fan]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: no length recurrence within")
 
 
 def test_kronecker_prints_numbers_past_the_int_str_digit_limit(capsys):

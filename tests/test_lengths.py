@@ -21,8 +21,9 @@ from recset import (
     trim,
 )
 from recset.automata import _reachable
+from recset import lengths
 from recset.lengths import _reachable_profiles
-from conftest import multiples_of, random_dfa
+from conftest import full_set, multiples_of, random_dfa
 
 
 def _oracle_bits(dfa: Dfa, state: int, upto: int) -> list[int]:
@@ -147,6 +148,11 @@ def test_profile_cap():
     with pytest.raises(SearchCapExceededError) as err:
         length_profile(dfa, 0, cap=1)
     assert err.value.cap == 1
+    dfa = full_set(2).dfa  # the final state 1 loops onto itself: step 1 repeats
+    assert length_profile(dfa, 1, cap=1).cycle_bits == (1,)
+    with pytest.raises(SearchCapExceededError) as err:
+        length_profile(dfa, 1, cap=0)
+    assert err.value.cap == 0
 
 
 def test_cofinite_threshold_cases():
@@ -230,3 +236,20 @@ def test_component_engine_equals_the_forward_walk(case):
     assert set(profiles) == _reachable(dfa, sources)
     for state, prof in profiles.items():
         assert prof == length_profile(dfa, state)
+
+
+def test_component_engine_keeps_the_subset_cap(monkeypatch):
+    # a 5-cycle left only from state 0, into a 7-cycle whose entry is final:
+    # state 0 accepts the lengths 5i + 7j + 1, all of them from 25 on, so the
+    # 5-cycle's vectors settle long after its exits' lcm of 7 and the key
+    # (vector, depth mod 7) first repeats at depth 36
+    transitions = {(i, d): 5 if (i, d) == (0, 1) else (i + 1) % 5
+                   for i in range(5) for d in (0, 1)}
+    transitions.update({(5 + j, d): 5 + (j + 1) % 7 for j in range(7) for d in (0, 1)})
+    dfa = Dfa(2, 12, 0, frozenset({5}), transitions)
+    monkeypatch.setattr(lengths, "DEFAULT_SUBSET_CAP", 36)
+    assert _reachable_profiles(dfa, [0])[0] == length_profile(dfa, 0)
+    monkeypatch.setattr(lengths, "DEFAULT_SUBSET_CAP", 35)
+    with pytest.raises(SearchCapExceededError) as err:
+        _reachable_profiles(dfa, [0])
+    assert err.value.cap == 35

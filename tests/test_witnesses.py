@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from recset import (
     NotSyndetic,
     PreconditionError,
     RecognizableSet,
+    SearchCapExceededError,
     Syndetic,
     complete,
     cross_base_refute,
@@ -32,6 +34,7 @@ from recset import (
     verify_contradiction,
     verify_interval_witness,
 )
+from recset.lengths import DEFAULT_SUBSET_CAP
 from conftest import (
     chain,
     example1_oracle,
@@ -345,6 +348,25 @@ def test_prime_cycles_are_profiled_one_component_at_a_time(monkeypatch):
     s = prime_cycles()
     assert isinstance(syndetic_decide(s), NotSyndetic)
     assert sorted(len(h) for h in histories) == [2, 3, 5, 7, 11, 13, 17]
+
+
+@pytest.mark.parametrize("last_prime", [19, 29])
+def test_qualifying_profiles_keep_the_subset_cap(last_prime):
+    # the fan-out state's lengths recur after lcm(2..19) = 9 699 690 or
+    # lcm(2..29) = 6 469 693 230 depths, both past the cap; the engine stops
+    # before its first depth instead of storing a million vectors
+    primes = tuple(p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29) if p <= last_prime)
+    s = prime_cycles(primes=primes, fan_out=True)
+    tracemalloc.start()
+    try:
+        for search in (syndetic_decide, empty_interval_witness):
+            with pytest.raises(SearchCapExceededError) as err:
+                search(s)
+            assert err.value.cap == DEFAULT_SUBSET_CAP
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_single_state_profile_walks_only_its_own_recurrence(monkeypatch):
