@@ -25,9 +25,11 @@ class Dfa:
     missing transitions reject.  All states without transitions share one
     row, so a declared state costs one reference.
 
-    The constructor takes the (state, digit) -> state map and validates it;
-    `transitions` gives that map back.  The library's own builders make rows
-    directly with `_from_rows`, which skips validation.
+    The constructor takes the (state, digit) -> state map, or a document's
+    list of [from, digit, to] integer triples, and validates it in the same
+    pass that fills the rows; `transitions` gives the map back.  The
+    library's own builders make rows directly with `_from_rows`, which skips
+    validation.
     """
 
     alphabet_size: int
@@ -47,15 +49,24 @@ class Dfa:
         for s in finals:
             if not 0 <= s < state_count:
                 raise ValidationError(f"final state {s} out of range")
+        if isinstance(transitions, dict):
+            transitions = [[s, d, t] for (s, d), t in transitions.items()]
         partial: dict[int, list[int]] = {}
-        for (s, d), t in transitions.items():
+        for i, triple in enumerate(transitions):
+            if not (isinstance(triple, list) and len(triple) == 3
+                    and type(triple[0]) is type(triple[1]) is type(triple[2]) is int):
+                raise ValidationError(f"transition #{i} must be an integer triple [from, digit, to]")
+            s, d, t = triple
+            if not 0 <= d < alphabet_size:
+                raise ValidationError(f"transition #{i}: digit {d} out of range for base {alphabet_size}")
             if not 0 <= s < state_count or not 0 <= t < state_count:
                 raise ValidationError(f"transition ({s},{d})->{t} references a missing state")
-            if not 0 <= d < alphabet_size:
-                raise ValidationError(f"transition digit {d} out of range")
-            if s not in partial:
-                partial[s] = [-1] * alphabet_size
-            partial[s][d] = t
+            row = partial.get(s)
+            if row is None:
+                row = partial[s] = [-1] * alphabet_size
+            elif row[d] != -1:
+                raise ValidationError(f"duplicate transition for state {s}, digit {d}")
+            row[d] = t
         rows = [(-1,) * alphabet_size] * state_count
         for s, row in partial.items():
             rows[s] = tuple(row)

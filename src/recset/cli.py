@@ -9,6 +9,7 @@ errors go to stderr as a single line starting with "error: ".
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .automata import (
@@ -236,14 +237,25 @@ def _add_io_flags(sub, out: bool = False) -> None:
                          help="write the automaton document here instead of stdout")
 
 
+def _cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_search_flags(sub, m_min: bool = False, cap_help: str = "search cap") -> None:
-    sub.add_argument("--cap", type=int, default=DEFAULT_LENGTH_CAP,
+    sub.add_argument("--cap", type=_cap, default=DEFAULT_LENGTH_CAP,
                      help=f"{cap_help} (default 10000)")
     if m_min:
         sub.add_argument("--m-min", type=int, default=1, dest="m_min",
                          help="smallest admissible m (default 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recset",
@@ -316,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("kronecker", help="exponent pair nesting scaled power intervals")
     for name in ("m", "n", "a", "b", "c", "d", "p", "q"):
         sub.add_argument(name, type=int)
-    sub.add_argument("--cap", type=int, default=DEFAULT_KRONECKER_CAP,
+    sub.add_argument("--cap", type=_cap, default=DEFAULT_KRONECKER_CAP,
                      help="largest l to try (default 10000)")
     sub.set_defaults(func=_cmd_kronecker)
 

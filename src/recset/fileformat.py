@@ -72,25 +72,11 @@ def set_from_document(doc, *, strict: bool = True) -> RecognizableSet:
         raise ValidationError("field 'contains_zero' must be a boolean")
     if not isinstance(doc["finals"], list):
         raise ValidationError("field 'finals' must be a list of state indices")
-    finals = []
-    for f in doc["finals"]:
-        if not isinstance(f, int) or isinstance(f, bool):
-            raise ValidationError("field 'finals' must contain integers only")
-        finals.append(f)
+    if any(not isinstance(f, int) or isinstance(f, bool) for f in doc["finals"]):
+        raise ValidationError("field 'finals' must contain integers only")
     if not isinstance(doc["transitions"], list):
         raise ValidationError("field 'transitions' must be a list of [from, digit, to] triples")
-    transitions: dict[tuple[int, int], int] = {}
-    for i, triple in enumerate(doc["transitions"]):
-        if (not isinstance(triple, list) or len(triple) != 3
-                or any(not isinstance(x, int) or isinstance(x, bool) for x in triple)):
-            raise ValidationError(f"transition #{i} must be an integer triple [from, digit, to]")
-        src, digit, dst = triple
-        if not 0 <= digit < base:
-            raise ValidationError(f"transition #{i}: digit {digit} out of range for base {base}")
-        if (src, digit) in transitions:
-            raise ValidationError(f"duplicate transition for state {src}, digit {digit}")
-        transitions[(src, digit)] = dst
-    dfa = Dfa(base, state_count, initial, frozenset(finals), transitions)
+    dfa = Dfa(base, state_count, initial, doc["finals"], doc["transitions"])
     try:
         return RecognizableSet(dfa, doc["contains_zero"])
     except ValidationError:
@@ -117,6 +103,8 @@ def loads_automaton(text: str, *, strict: bool = True) -> RecognizableSet:
     except json.JSONDecodeError as e:
         raise ValidationError(
             f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise ValidationError("parse error: the document nests too deeply") from e
     return set_from_document(doc, strict=strict)
 
 
@@ -127,6 +115,6 @@ def write_automaton(path, s: RecognizableSet) -> None:
 def read_automaton(path, *, strict: bool = True) -> RecognizableSet:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
     return loads_automaton(text, strict=strict)

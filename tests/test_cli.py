@@ -279,3 +279,58 @@ def test_cost_follows_reachable_states_not_declared_ones(capsys, tmp_path, argv)
     capsys.readouterr()
     assert code in (0, 1)
     assert peak < 40 << 20
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{}", "error: cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 200_000 + b"]" * 200_000, "error: parse error: the document nests too deeply\n"),
+], ids=["not-utf-8", "deep-nesting"])
+def test_malformed_documents_exit_2(capsys, tmp_path, content, message):
+    path = tmp_path / "bad.aut"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "member", str(path), "3")
+    assert (code, out) == (2, "")
+    assert err.startswith(message.format(path=path)) and err.count("\n") == 1
+
+
+def test_negative_caps_are_usage_errors(capsys, files):
+    kronecker = ["kronecker", "2", "1", "1", "1", "1", "1", "2", "3"]
+    for argv in (["witness-nonempty", files["example1"]], ["witness-empty", files["example1"]],
+                 ["syndetic", files["example1"]], ["refute", files["nat3"], files["example1"]],
+                 kronecker):
+        code, out, err = run(capsys, *argv, "--cap", "-1")
+        assert (code, out) == (2, "")
+        assert "argument --cap: must be >= 0, got -1" in err
+    assert run(capsys, "syndetic", files["example1"], "--cap", "0")[0] == 1
+    assert "invalid int value: 'x'" in run(capsys, "syndetic", files["example1"], "--cap", "x")[2]
+
+
+def test_cached_parser_answers_as_a_fresh_one(capsys, files, monkeypatch):
+    import recset.cli as cli
+    argvs = [["no-such-command"], ["--help"], ["enum", files["example1"], "3", "--lenient"],
+             ["enum", files["example1"], "3"], ["syndetic", files["example1"]]]
+    cached = [run(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cached == [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in cached] == [2, 0, 0, 0, 1]
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    import argparse
+    import recset.cli as cli
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    try:
+        assert run(capsys, "encode", "6", "2")[:2] == (0, "[1,1,0]\n")
+        assert built[0] == "recset" and len(built) > 1  # the parser and its subparsers
+        built.clear()
+        assert run(capsys, "decode", "1,1,0", "2")[:2] == (0, "6\n")
+        assert built == []
+    finally:
+        cli.build_parser.cache_clear()

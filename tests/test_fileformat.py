@@ -7,6 +7,7 @@ import json
 import pytest
 
 from recset import (
+    Dfa,
     ValidationError,
     accepts,
     document_from_set,
@@ -137,3 +138,40 @@ def test_leading_zero_acceptance_strict_vs_lenient():
 def test_read_missing_file_is_validation_error(tmp_path):
     with pytest.raises(ValidationError, match="cannot read"):
         read_automaton(tmp_path / "nope.aut")
+
+
+def _with_triple(index, triple):
+    transitions = document_from_set(example1())["transitions"]
+    transitions[index] = triple
+    return {"transitions": transitions}
+
+
+# example1's document with one fault each, and the message that names it
+SINGLE_FAULTS = {
+    "non-list": (_with_triple(1, 7), "transition #1 must be an integer triple [from, digit, to]"),
+    "wrong length": (_with_triple(1, [1, 0]), "transition #1 must be an integer triple [from, digit, to]"),
+    "bool": (_with_triple(1, [1, True, 2]), "transition #1 must be an integer triple [from, digit, to]"),
+    "float": (_with_triple(1, [1, 0, 2.0]), "transition #1 must be an integer triple [from, digit, to]"),
+    "digit": (_with_triple(1, [1, 2, 2]), "transition #1: digit 2 out of range for base 2"),
+    "duplicate": (_with_triple(2, [1, 0, 1]), "duplicate transition for state 1, digit 0"),
+    "from": (_with_triple(1, [3, 0, 2]), "transition (3,0)->2 references a missing state"),
+    "to": (_with_triple(1, [1, 0, -1]), "transition (1,0)->-1 references a missing state"),
+    "initial": ({"initial": 3}, "initial state 3 out of range"),
+    "final": ({"finals": [1, 3]}, "final state 3 out of range"),
+    "base": ({"base": 1, "transitions": [[0, 0, 1], [1, 0, 2], [2, 0, 1]]},
+             "alphabet size must be >= 2, got 1"),
+    # no state at all leaves no valid initial state; the count is reported first
+    "state_count": ({"state_count": 0, "finals": [], "transitions": []},
+                    "state count must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SINGLE_FAULTS))
+def test_single_fault_messages_from_loader_and_constructor(fault):
+    overrides, message = SINGLE_FAULTS[fault]
+    doc = _doc(**overrides)
+    with pytest.raises(ValidationError) as loaded:
+        loads_automaton(json.dumps(doc))
+    with pytest.raises(ValidationError) as built:
+        Dfa(doc["base"], doc["state_count"], doc["initial"], doc["finals"], doc["transitions"])
+    assert str(loaded.value) == str(built.value) == message
