@@ -306,31 +306,53 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
             and is_empty_language(product(d2, d1, "difference")))
 
 
+def _components(rows, sources) -> Iterator[list[int]]:
+    """The strongly connected components of the states reachable from `sources`, successors first.
+
+    Tarjan's algorithm on an explicit stack, so no recursion: a component is
+    yielded only after every component it has a transition into.  Once its
+    component is out, a state's index becomes len(rows), above every low link.
+    """
+    n, count = len(rows), 0
+    index, low, stack = [-1] * n, [0] * n, []
+    for root in sources:
+        work = [(root, iter(rows[root]))] if index[root] < 0 else []
+        while work:
+            s, targets = work[-1]
+            if index[s] < 0:
+                index[s] = low[s] = count
+                count += 1
+                stack.append(s)
+            for t in targets:
+                if t < 0:
+                    continue
+                if index[t] < 0:
+                    work.append((t, iter(rows[t])))
+                    break
+                if index[t] < low[s]:
+                    low[s] = index[t]
+            else:
+                work.pop()
+                if work and low[s] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[s]
+                if low[s] == index[s]:
+                    comp = [stack.pop()]
+                    while comp[-1] != s:
+                        comp.append(stack.pop())
+                    for v in comp:
+                        index[v] = n
+                    yield comp
+
+
 def has_infinite_language(dfa: Dfa) -> bool:
     """True iff the automaton accepts infinitely many words.
 
-    Equivalent to the trimmed automaton containing a cycle, checked with a
-    topological sort.
+    Equivalent to the trimmed automaton containing a cycle: a component of
+    two or more states, or a self-loop.
     """
     t = trim(dfa)
-    if not t.finals:
-        return False
-    n = t.state_count
-    succ = [set(row).difference((-1,)) for row in t.rows]
-    indeg = [0] * n
-    for s in range(n):
-        for v in succ[s]:
-            indeg[v] += 1
-    queue = [s for s in range(n) if indeg[s] == 0]
-    seen = 0
-    while queue:
-        s = queue.pop()
-        seen += 1
-        for v in succ[s]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return seen < n
+    return any(len(comp) > 1 or comp[0] in t.rows[comp[0]]
+               for comp in _components(t.rows, [t.initial]))
 
 
 def canonical_words_dfa(alphabet_size: int) -> Dfa:
@@ -403,60 +425,63 @@ def _exact_depth_layers(rows, targets) -> Iterator[frozenset[int]]:
     yield from cycle(list(scanned)[scanned[layer]:])
 
 
-def _ordered_paths(rows, p: int, start: int, layers, t: int, first: int = 1,
-                   bound=None) -> Iterator[int]:
-    """The values of every length-t path from `start` into layers[0], ascending.
+def _ordered_values(dfa: Dfa, targets, bound=(1,), max_len=None) -> Iterator[int]:
+    """The values >= `bound` of the words from the initial state into `targets`, ascending.
 
-    Depth-first, digits ascending; a digit is taken only if its target is in
-    the exact-depth layer for the steps left, so every branch entered ends in
-    a path.  `first` is the least first digit (0 for extension words).
-    `bound`, a digit tuple of length t, keeps only values >= its value and is
-    the only source of dead ends.  Memory is O(t), never a whole length.
+    Word lengths run upward from len(bound) to `max_len`, or to the first
+    empty exact-depth layer, after which every layer is empty.  Within a
+    length t the walk is depth-first, digits ascending, and takes a digit
+    only if its target is in the layer for the steps left, so every branch
+    entered ends in a word.  Words of length len(bound) are bounded below by
+    the digits of `bound`, the only source of dead ends; longer ones start
+    with a nonzero digit.  Memory is O(t), never a whole length.
     """
-    # frame: [state, next digit to try, prefix still equal to bound]; `value`
-    # is the top frame's prefix, kept once so long words cost O(t) digits, not O(t**2)
-    tight = bound is not None
-    stack = [[start, max(first, bound[0]) if tight else first, tight]]
-    value = 0
-    while stack:
-        frame = stack[-1]
-        state, lo, tight = frame
-        depth = len(stack) - 1
-        row = rows[state]
-        layer = layers[t - depth - 1]
-        for d in range(lo, p):
-            if (nxt := row[d]) in layer:
-                if depth == t - 1:
-                    yield value * p + d
-                    continue
-                frame[1] = d + 1
-                child_tight = tight and d == bound[depth]
-                stack.append([nxt, bound[depth + 1] if child_tight else 0, child_tight])
-                value = value * p + d
-                break
-        else:
-            del stack[-1]
-            value //= p
+    rows, p, first_len = dfa.rows, dfa.alphabet_size, len(bound)
+    layers: list[frozenset[int]] = []
+    for layer in _exact_depth_layers(rows, targets):
+        if not layer or len(layers) == max_len:
+            return
+        layers.append(layer)
+        if (t := len(layers)) < first_len:
+            continue
+        # frame: [state, next digit to try, prefix still equal to bound]; `value`
+        # is the top frame's prefix, kept once so long words cost O(t) digits, not O(t**2)
+        tight = t == first_len
+        stack = [[dfa.initial, bound[0] if tight else 1, tight]]
+        value = 0
+        while stack:
+            frame = stack[-1]
+            state, lo, tight = frame
+            depth = len(stack) - 1
+            row = rows[state]
+            layer = layers[t - depth - 1]
+            for d in range(lo, p):
+                if (nxt := row[d]) in layer:
+                    if depth == t - 1:
+                        yield value * p + d
+                        continue
+                    frame[1] = d + 1
+                    child_tight = tight and d == bound[depth]
+                    stack.append([nxt, bound[depth + 1] if child_tight else 0, child_tight])
+                    value = value * p + d
+                    break
+            else:
+                del stack[-1]
+                value //= p
 
 
 def iter_elements(s: RecognizableSet) -> Iterator[int]:
     """Yield the elements of the set in increasing order, lazily.
 
-    Word lengths ascend, and within a length `_ordered_paths` yields values in
-    ascending order, which is numeric order because canonical words of length
-    t occupy [p**(t-1), p**t).  Memory grows with the word length, not with
-    the number of words of a length.  In a trimmed automaton the exact-depth
+    Word lengths ascend, and within a length `_ordered_values` yields values
+    in ascending order, which is numeric order because canonical words of
+    length t occupy [p**(t-1), p**t).  In a trimmed automaton the exact-depth
     layers empty out exactly when the language is finite, which ends the walk.
     """
     if s.contains_zero:
         yield 0
     dfa = trim(s.dfa)
-    layers: list[frozenset[int]] = []
-    for layer in _exact_depth_layers(dfa.rows, dfa.finals):
-        if not layer:
-            return
-        layers.append(layer)
-        yield from _ordered_paths(dfa.rows, dfa.alphabet_size, dfa.initial, layers, len(layers))
+    yield from _ordered_values(dfa, dfa.finals)
 
 
 def enumerate_elements(s: RecognizableSet, limit: int) -> list[int]:

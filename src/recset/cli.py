@@ -30,6 +30,7 @@ from .numeration import (
     encode,
     kronecker_witness,
     mult_independent,
+    nested_chain,
 )
 from .witnesses import (
     DEFAULT_LENGTH_CAP,
@@ -169,13 +170,11 @@ def _cmd_syndetic(args) -> int:
 def _cmd_kronecker(args) -> int:
     w = kronecker_witness(args.m, args.n, args.a, args.b, args.c, args.d,
                           args.p, args.q, cap=args.cap)
-    lo = args.n * args.q ** (args.c + args.d * w.ell)
-    mid_lo = args.m * args.p ** (args.a + args.b * w.k)
-    mid_hi = (args.m + 1) * args.p ** (args.a + args.b * w.k)
-    hi = (args.n + 1) * args.q ** (args.c + args.d * w.ell)
+    lo_q, lo_p, hi_p, hi_q = nested_chain(w, args.m, args.n, args.a, args.b,
+                                          args.c, args.d, args.p, args.q)
     print(f"k: {w.k}")
     print(f"l: {w.ell}")
-    print(f"chain: {lo} <= {mid_lo} < {mid_hi} <= {hi}")
+    print(f"chain: {lo_q} <= {lo_p} < {hi_p} <= {hi_q}")
     return 0
 
 
@@ -207,10 +206,8 @@ def _cmd_refute(args) -> int:
               "no refutation of this shape exists (the sets may or may not be equal)")
         return 1
     nw, ew, kw = cert.base_p_witness, cert.base_q_witness, cert.kronecker
-    lo_q = ew.m * cert.base_q ** (ew.a + ew.b * kw.ell)
-    lo_p = nw.m * cert.base_p ** (nw.a + nw.b * kw.k)
-    hi_p = (nw.m + 1) * cert.base_p ** (nw.a + nw.b * kw.k)
-    hi_q = (ew.m + 1) * cert.base_q ** (ew.a + ew.b * kw.ell)
+    lo_q, lo_p, hi_p, hi_q = nested_chain(kw, nw.m, ew.m, nw.a, nw.b, ew.a, ew.b,
+                                          cert.base_p, cert.base_q)
     print("refuted: true")
     print(f"base_p: {cert.base_p}")
     print(f"base_q: {cert.base_q}")

@@ -105,6 +105,8 @@ def loads_automaton(text: str, *, strict: bool = True) -> RecognizableSet:
             f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
     except RecursionError as e:
         raise ValidationError("parse error: the document nests too deeply") from e
+    except ValueError as e:  # an integer past the int-to-str digit limit
+        raise ValidationError(f"parse error: {e}") from e
     return set_from_document(doc, strict=strict)
 
 

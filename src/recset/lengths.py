@@ -4,8 +4,9 @@ For a state s, the length set is { |w| : w drives s into a final state }; its
 indicator sequence is ultimately periodic.  `length_profile` (and the witness
 verifiers) walk the subset map forward from {s} to its first repeat;
 `_reachable_profiles` profiles every state reachable from some sources in one
-pass over the strongly connected components, successors first, by the backward
-recurrence bit_s(r) = OR over digits d of bit_delta(s,d)(r - 1).  Both reduce
+pass over the strongly connected components, successors first, in the order
+`automata._components` yields them, by the backward recurrence
+bit_s(r) = OR over digits d of bit_delta(s,d)(r - 1).  Both reduce
 to minimal (preperiod, period) form the same way.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .automata import Dfa
+from .automata import Dfa, _components
 from .errors import SearchCapExceededError, ValidationError
 
 DEFAULT_SUBSET_CAP = 1 << 20
@@ -151,37 +152,10 @@ def _component_profiles(dfa: Dfa, comp: list[int], profiles: dict) -> None:
 
 
 def _reachable_profiles(dfa: Dfa, sources) -> dict[int, UltimatePeriod]:
-    """Length profile of every state reachable from `sources`, sources included.
-
-    Tarjan's algorithm on an explicit stack yields the components successors first.
-    """
-    rows, profiles = dfa.rows, {}
-    index, low, stack = {}, {}, []
-
-    def enter(s):
-        index[s] = low[s] = len(index)
-        stack.append(s)
-        return s, (t for t in rows[s] if t >= 0)
-
-    for root in sources:
-        work = [] if root in index else [enter(root)]
-        while work:
-            s, targets = work[-1]
-            for t in targets:
-                if t not in index:
-                    work.append(enter(t))
-                    break
-                if t not in profiles:  # still on the stack
-                    low[s] = min(low[s], index[t])
-            else:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[s])
-                if low[s] == index[s]:
-                    comp = [stack.pop()]
-                    while comp[-1] != s:
-                        comp.append(stack.pop())
-                    _component_profiles(dfa, comp, profiles)
+    """Length profile of every state reachable from `sources`, sources included."""
+    profiles: dict[int, UltimatePeriod] = {}
+    for comp in _components(dfa.rows, sources):
+        _component_profiles(dfa, comp, profiles)
     return profiles
 
 

@@ -142,14 +142,21 @@ class KroneckerWitness:
     ell: int
 
 
+def nested_chain(w: KroneckerWitness, m: int, n: int, a: int, b: int,
+                 c: int, d: int, p: int, q: int) -> tuple[int, int, int, int]:
+    """The ends (lo_q, lo_p, hi_p, hi_q) of the two intervals the exponent pair nests."""
+    big_p = p ** (a + b * w.k)
+    big_q = q ** (c + d * w.ell)
+    return n * big_q, m * big_p, (m + 1) * big_p, (n + 1) * big_q
+
+
 def verify_kronecker(w: KroneckerWitness, m: int, n: int, a: int, b: int,
                      c: int, d: int, p: int, q: int) -> bool:
     """Exact re-check of the nested-interval inequality chain."""
     if w.k < 1 or w.ell < 1:
         return False
-    big_p = p ** (a + b * w.k)
-    big_q = q ** (c + d * w.ell)
-    return n * big_q <= m * big_p and (m + 1) * big_p <= (n + 1) * big_q
+    lo_q, lo_p, hi_p, hi_q = nested_chain(w, m, n, a, b, c, d, p, q)
+    return lo_q <= lo_p and hi_p <= hi_q
 
 
 def kronecker_witness(m: int, n: int, a: int, b: int, c: int, d: int,

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple, Union
 
 from .automata import (
     Dfa,
     RecognizableSet,
-    _exact_depth_layers,
-    _ordered_paths,
+    _ordered_values,
     has_infinite_language,
     iter_elements,
     member,
@@ -40,6 +38,7 @@ from .numeration import (
     encode,
     kronecker_witness,
     mult_independent,
+    nested_chain,
     verify_kronecker,
 )
 
@@ -133,24 +132,15 @@ def _min_value_path(dfa: Dfa, targets, min_value: int,
                     length_cap: int) -> tuple[int, int]:
     """Smallest integer >= min_value whose canonical digit path ends in `targets`.
 
-    Lengths are searched in increasing order, and at each length the first
-    path `_ordered_paths` yields is the least; only the first length, the one
-    of min_value itself, is bounded below by min_value's digits.  Returns
-    (value, end_state).
+    The first value `_ordered_values` yields, trying the length of min_value
+    and `length_cap` more.  Returns (value, end_state).
     """
     bound = encode(min_value, dfa.alphabet_size).digits
-    first_len = len(bound)
-    layers: list[frozenset[int]] = []
-    for layer in islice(_exact_depth_layers(dfa.rows, targets), first_len + length_cap):
-        layers.append(layer)
-        if (t := len(layers)) < first_len:
-            continue
-        value = next(_ordered_paths(dfa.rows, dfa.alphabet_size, dfa.initial, layers, t,
-                                    bound=bound if t == first_len else None), None)
-        if value is not None:
-            return value, dfa.walk(dfa.initial, encode(value, dfa.alphabet_size))
-    raise SearchCapExceededError(
-        f"no qualifying integer found within {length_cap} digit lengths", cap=length_cap)
+    value = next(_ordered_values(dfa, targets, bound, len(bound) + length_cap), None)
+    if value is None:
+        raise SearchCapExceededError(
+            f"no qualifying integer found within {length_cap} digit lengths", cap=length_cap)
+    return value, dfa.walk(dfa.initial, encode(value, dfa.alphabet_size))
 
 
 def _first_bit_past_preperiod(profile: UltimatePeriod, wanted: int) -> int:
@@ -332,14 +322,12 @@ def cross_base_refute(set_p: RecognizableSet, set_q: RecognizableSet, *,
         return None
     nw = _witness(set_p, _qualifying_profiles(set_p), "nonempty", ew.m + 1, length_cap)
     kw = kronecker_witness(nw.m, ew.m, nw.a, nw.b, ew.a, ew.b, p, q, cap=cap)
-    depth = nw.a + nw.b * kw.k
     nf = set_p.normal_form
-    layers = list(islice(_exact_depth_layers(nf.rows, nf.finals), depth))
-    # the least accepted extension word; leading zeros are fine after m's digits
-    tail = next(_ordered_paths(nf.rows, p, nw.state, layers, depth, first=0), None)
-    if tail is None:
+    # the least element >= m*p**depth with as many digits, depth = a + b*K
+    bound = encode(nw.m, p).digits + (0,) * (nw.a + nw.b * kw.k)
+    element = next(_ordered_values(nf, nf.finals, bound, len(bound)), None)
+    if element is None:
         raise RecsetError("internal: no accepted extension at certified depth")
-    element = nw.m * p**depth + tail
     cert = ContradictionCertificate(p, q, nw, ew, kw, element)
     if not verify_contradiction(cert, set_p, set_q):
         raise RecsetError("internal: generated contradiction certificate fails its exact check")
@@ -363,12 +351,7 @@ def verify_contradiction(cert: ContradictionCertificate,
         return False
     if not verify_kronecker(kw, nw.m, ew.m, nw.a, nw.b, ew.a, ew.b, p, q):
         return False
-    lo_p = nw.m * p ** (nw.a + nw.b * kw.k)
-    hi_p = (nw.m + 1) * p ** (nw.a + nw.b * kw.k)
-    lo_q = ew.m * q ** (ew.a + ew.b * kw.ell)
-    hi_q = (ew.m + 1) * q ** (ew.a + ew.b * kw.ell)
-    if not (lo_q <= lo_p and hi_p <= hi_q):
-        return False
+    _, lo_p, hi_p, _ = nested_chain(kw, nw.m, ew.m, nw.a, nw.b, ew.a, ew.b, p, q)
     if not lo_p <= cert.element < hi_p:
         return False
     if not member(set_p, cert.element) or member(set_q, cert.element):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import tracemalloc
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +31,7 @@ from recset import (
     set_from_document,
     trim,
 )
+from recset.automata import _components, _reachable
 from conftest import (
     chain,
     example1_oracle,
@@ -338,19 +338,27 @@ def test_enumeration_is_lazy_within_a_length():
 
 
 def test_enumeration_scans_layers_only_to_the_first_repeat(monkeypatch):
-    # each length's walk is cut to its first element, so 199 lengths come quickly
     import recset.automata as automata
     seen = []
-    original = automata._ordered_paths
+    original = automata._exact_depth_layers
 
-    def first_only(rows, p, start, layers, t, first=1, bound=None):
-        seen.extend(layers)
-        return islice(original(rows, p, start, layers, t, first, bound), 1)
+    def spy(rows, targets):
+        for layer in original(rows, targets):
+            seen.append(layer)
+            yield layer
 
-    monkeypatch.setattr(automata, "_ordered_paths", first_only)
-    got = enumerate_elements(example1(), 100)  # one element per odd length 1..199
-    assert got == [4**i for i in range(100)]
+    monkeypatch.setattr(automata, "_exact_depth_layers", spy)
+    got = enumerate_elements(example1(), 100)
+    assert got == [n for n in range(1, 1 << 9) if example1_oracle(n)][:100]
     scans = len({id(layer) for layer in seen}) - 1  # the first layer is the finals, not a scan
+    assert scans <= 3
+    # example1 with only the digit 0 after the first: the powers of 4, one
+    # element per odd length 1..199
+    seen.clear()
+    powers_of_4 = RecognizableSet(Dfa(2, 3, 0, {1}, {(0, 1): 1, (1, 0): 2, (2, 0): 1}))
+    got = enumerate_elements(powers_of_4, 100)
+    assert got == [4**i for i in range(100)]
+    scans = len({id(layer) for layer in seen}) - 1
     assert scans <= 3
 
 
@@ -375,6 +383,48 @@ def test_has_infinite_language():
     assert has_infinite_language(example1().dfa)
     assert not has_infinite_language(finite_set({1, 2, 3}, 2).dfa)
     assert not has_infinite_language(empty_dfa(2))
+
+
+@st.composite
+def _cyclic_dfas(draw) -> Dfa:
+    """Partial automata of up to 20 states over bases 2 and 3, with planted cycles.
+
+    Besides drawn transitions, some states get a self-loop and some runs of
+    states a cycle, so finite and infinite languages both come up often.
+    """
+    base = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 20))
+    state, digit = st.integers(0, n - 1), st.integers(0, base - 1)
+    transitions = draw(st.dictionaries(st.tuples(state, digit), state, max_size=2 * n))
+    for s in draw(st.lists(state, max_size=2)):
+        transitions[(s, draw(digit))] = s
+    for _ in range(draw(st.integers(0, 2))):
+        ring = draw(st.lists(state, min_size=1, max_size=min(5, n), unique=True))
+        for s, t in zip(ring, ring[1:] + ring[:1]):
+            transitions[(s, draw(digit))] = t
+    finals = draw(st.frozensets(state))
+    return Dfa(base, n, draw(state), finals, transitions)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_cyclic_dfas())
+def test_cycle_check_and_components_against_oracles(dfa):
+    # a language is infinite iff it holds a word of some length in [n, 2n)
+    n = dfa.state_count
+    subset, infinite = {dfa.initial}, False
+    for length in range(2 * n):
+        infinite |= length >= n and bool(subset & dfa.finals)
+        subset = {t for s in subset for t in dfa.rows[s] if t >= 0}
+    assert has_infinite_language(dfa) == infinite
+    # the components partition the reachable states, successors first
+    comps = list(_components(dfa.rows, [dfa.initial]))
+    reach = _reachable(dfa)
+    assert sorted(s for comp in comps for s in comp) == sorted(reach)
+    position = {s: i for i, comp in enumerate(comps) for s in comp}
+    for s in reach:
+        assert _reachable(dfa, [s]) >= set(comps[position[s]])
+        for t in dfa.rows[s]:
+            assert t < 0 or position[t] <= position[s]
 
 
 def test_example1_closed_form_prefix():

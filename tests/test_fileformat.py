@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -119,6 +120,19 @@ def test_type_errors_rejected():
 def test_parse_error_reports_position():
     with pytest.raises(ValidationError, match=r"line \d+, column \d+"):
         loads_automaton("{ not json }")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.10.7")
+def test_integer_past_the_digit_limit_is_validation_error():
+    # the CLI lifts the limit for the whole process; a library caller may not
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValidationError, match="parse error"):
+            loads_automaton('{"base": ' + "9" * 5000 + "}")
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_leading_zero_acceptance_strict_vs_lenient():

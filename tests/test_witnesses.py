@@ -21,6 +21,7 @@ from recset import (
     complete,
     cross_base_refute,
     empty_interval_witness,
+    encode,
     enumerate_elements,
     example1,
     gap_scan,
@@ -156,6 +157,45 @@ def test_empty_witness_from_dying_paths():
     assert all(all(p.cycle_bits) for p in live_profiles)
     w = empty_interval_witness(s)
     assert w is not None  # the completion sink carries the witness
+
+
+def _ones_then_parity(c: int) -> RecognizableSet:
+    """Base 2: the canonical words, less 1^(c+1) followed by an odd number of digits.
+
+    A word with a 0 among its first c+1 digits leads to a state that accepts
+    everything; 1^j, j <= c, accepts every length.  Only 1^(c+1) and its
+    extensions miss infinitely many lengths, so the least m of an empty
+    witness is 2^(c+1) - 1, c digit lengths longer than m = 1.
+    """
+    free, even, odd = c + 1, c + 2, c + 3
+    transitions = {(0, 1): 1, (c, 1): even}
+    for j in range(1, c + 1):
+        transitions[(j, 0)] = free
+        if j < c:
+            transitions[(j, 1)] = j + 1
+    for d in (0, 1):
+        transitions.update({(free, d): free, (even, d): odd, (odd, d): even})
+    return RecognizableSet(Dfa(2, c + 4, 0, set(range(1, c + 1)) | {free, even}, transitions))
+
+
+@pytest.mark.parametrize("c", [2, 5])
+def test_length_cap_counts_the_lengths_past_the_first(c):
+    s = _ones_then_parity(c)
+    assert empty_interval_witness(s, length_cap=c).m == 2 ** (c + 1) - 1
+    with pytest.raises(SearchCapExceededError) as err:
+        empty_interval_witness(s, length_cap=c - 1)
+    assert err.value.cap == c - 1
+
+
+def test_length_cap_counts_for_the_nonempty_search():
+    # words starting 10: after 11 nothing qualifies, so from m_min = 3 the
+    # least m is 4, one digit length on.  No set needs more: a qualifying
+    # nonempty state's one-digit-shorter prefix qualifies too
+    s = RecognizableSet(Dfa(2, 3, 0, {2}, {(0, 1): 1, (1, 0): 2, (2, 0): 2, (2, 1): 2}))
+    assert nonempty_interval_witness(s, m_min=3, length_cap=1).m == 4
+    with pytest.raises(SearchCapExceededError) as err:
+        nonempty_interval_witness(s, m_min=3, length_cap=0)
+    assert err.value.cap == 0
 
 
 def test_witnesses_on_random_corpus():
@@ -549,7 +589,7 @@ def test_refute_random_cross_base_pairs():
 
 
 def test_refute_certificate_layers_scan_only_to_the_first_repeat(monkeypatch):
-    import recset.witnesses as witnesses
+    import recset.automata as automata
     set_p, set_q = chain(7, 5), chain(8, 2)
     nf = set_p.normal_form
     # reference: exact-depth layers, scanned up to and including the first repeat
@@ -559,20 +599,26 @@ def test_refute_certificate_layers_scan_only_to_the_first_repeat(monkeypatch):
                              if any(t in ref[-1] for t in nf.rows[s])))
     pre = ref.index(ref[-1])
     period = len(ref) - 1 - pre
-    captured = []
-    original = witnesses._ordered_paths
+    calls = []
+    original = automata._exact_depth_layers
 
-    def spy(rows, p, start, layers, t, first=1, bound=None):
-        if first == 0:  # the certificate element's extension, not a witness search
-            captured.append((list(layers), t))
-        return original(rows, p, start, layers, t, first, bound)
+    def spy(rows, targets):
+        calls.append((rows, targets, []))
+        for layer in original(rows, targets):
+            calls[-1][2].append(layer)
+            yield layer
 
-    monkeypatch.setattr(witnesses, "_ordered_paths", spy)
+    monkeypatch.setattr(automata, "_exact_depth_layers", spy)
     cert = cross_base_refute(set_p, set_q)
     assert cert is not None and verify_contradiction(cert, set_p, set_q)
-    [(layers, depth)] = captured
+    # the last walk is the certificate element's: m's digits, then depth more
+    rows, targets, layers = calls[-1]
+    assert rows is nf.rows and targets == nf.finals
+    nw = cert.base_p_witness
+    depth = nw.a + nw.b * cert.kronecker.k
     assert depth > 10 * (pre + period)  # 377 digits after m, against 7 distinct layers
-    assert layers == [ref[i] if i < pre else ref[pre + (i - pre) % period] for i in range(depth)]
+    length = len(encode(nw.m, 5)) + depth
+    assert layers == [ref[i] if i < pre else ref[pre + (i - pre) % period] for i in range(length)]
     scans = len({id(layer) for layer in layers}) - 1  # layers[0] is the finals, not a scan
     assert scans <= pre + period
 
