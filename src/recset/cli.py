@@ -33,7 +33,6 @@ from .numeration import (
     nested_chain,
 )
 from .witnesses import (
-    DEFAULT_LENGTH_CAP,
     Finite,
     NotSyndetic,
     cross_base_refute,
@@ -130,13 +129,13 @@ def _cmd_profile(args) -> int:
 
 def _cmd_witness_nonempty(args) -> int:
     s = _load(args)
-    _witness_lines(nonempty_interval_witness(s, m_min=args.m_min, length_cap=args.cap))
+    _witness_lines(nonempty_interval_witness(s, m_min=args.m_min))
     return 0
 
 
 def _cmd_witness_empty(args) -> int:
     s = _load(args)
-    w = empty_interval_witness(s, length_cap=args.cap)
+    w = empty_interval_witness(s)
     if w is None:
         print("absent")
         return 1
@@ -146,7 +145,7 @@ def _cmd_witness_empty(args) -> int:
 
 def _cmd_syndetic(args) -> int:
     s = _load(args)
-    verdict = syndetic_decide(s, length_cap=args.cap)
+    verdict = syndetic_decide(s)
     if isinstance(verdict, Finite):
         print("verdict: finite")
         return 0
@@ -200,7 +199,7 @@ def _cmd_gaps(args) -> int:
 def _cmd_refute(args) -> int:
     set_p = read_automaton(args.file_p, strict=not args.lenient)
     set_q = read_automaton(args.file_q, strict=not args.lenient)
-    cert = cross_base_refute(set_p, set_q, cap=args.cap, length_cap=args.cap)
+    cert = cross_base_refute(set_p, set_q, cap=args.cap)
     if cert is None:
         print("absent: the second automaton has no empty interval family; "
               "no refutation of this shape exists (the sets may or may not be equal)")
@@ -224,11 +223,8 @@ def _cmd_example1(args) -> int:
 
 
 def _add_io_flags(sub, out: bool = False) -> None:
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--strict", action="store_true",
-                       help="reject unknown fields and leading-zero acceptance (default)")
-    group.add_argument("--lenient", action="store_true",
-                       help="repair leading-zero acceptance instead of rejecting; tolerate unknown fields")
+    sub.add_argument("--lenient", action="store_true",
+                     help="repair leading-zero acceptance instead of rejecting it; tolerate unknown fields")
     if out:
         sub.add_argument("--out", metavar="PATH", default=None,
                          help="write the automaton document here instead of stdout")
@@ -242,14 +238,6 @@ def _cap(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
-
-
-def _add_search_flags(sub, m_min: bool = False, cap_help: str = "search cap") -> None:
-    sub.add_argument("--cap", type=_cap, default=DEFAULT_LENGTH_CAP,
-                     help=f"{cap_help} (default 10000)")
-    if m_min:
-        sub.add_argument("--m-min", type=int, default=1, dest="m_min",
-                         help="smallest admissible m (default 1)")
 
 
 @functools.cache
@@ -307,19 +295,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("witness-nonempty", help="uniformly nonempty interval family")
     sub.add_argument("file")
     _add_io_flags(sub)
-    _add_search_flags(sub, m_min=True)
+    sub.add_argument("--m-min", type=int, default=1, dest="m_min",
+                     help="smallest admissible m (default 1)")
     sub.set_defaults(func=_cmd_witness_nonempty)
 
     sub = subs.add_parser("witness-empty", help="uniformly empty interval family, if any")
     sub.add_argument("file")
     _add_io_flags(sub)
-    _add_search_flags(sub)
     sub.set_defaults(func=_cmd_witness_empty)
 
     sub = subs.add_parser("syndetic", help="decide bounded gaps, with certificate or witness")
     sub.add_argument("file")
     _add_io_flags(sub)
-    _add_search_flags(sub)
     sub.set_defaults(func=_cmd_syndetic)
 
     sub = subs.add_parser("kronecker", help="exponent pair nesting scaled power intervals")
@@ -344,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("file_p")
     sub.add_argument("file_q")
     _add_io_flags(sub)
-    _add_search_flags(sub, cap_help="one cap shared by the witness searches (digit lengths "
-                                    "tried) and the Kronecker search (values of l tried)")
+    sub.add_argument("--cap", type=_cap, default=DEFAULT_KRONECKER_CAP,
+                     help="largest l the Kronecker search tries (default 10000)")
     sub.set_defaults(func=_cmd_refute)
 
     sub = subs.add_parser("example1", help="write the built-in right-dense-but-gappy set")

@@ -73,14 +73,16 @@ def _reduced(bits, a: int, period: int) -> UltimatePeriod:
     return UltimatePeriod(pre, period, tuple(bits[:pre]), tuple(bits[pre:pre + period]))
 
 
-def _forward_walk(dfa: Dfa, state: int, cap: int | None = None):
+def _forward_walk(dfa: Dfa, state: int):
     """(walk, preperiod, period): the subsets reached from {state} up to the first repeat.
 
-    Depth n >= preperiod reaches walk[preperiod + (n - preperiod) % period].
+    Depth n >= preperiod reaches walk[preperiod + (n - preperiod) % period].  A
+    recurrence longer than DEFAULT_SUBSET_CAP steps raises SearchCapExceededError.
     """
+    cap = DEFAULT_SUBSET_CAP
     walk = [frozenset({state})]
     first_seen = {walk[0]: 0}
-    while cap is None or len(walk) <= cap:  # step len(walk) is the next one
+    while len(walk) <= cap:  # step len(walk) is the next one
         nxt = subset_step(dfa, walk[-1])
         if nxt in first_seen:
             pre = first_seen[nxt]
@@ -90,7 +92,7 @@ def _forward_walk(dfa: Dfa, state: int, cap: int | None = None):
     raise SearchCapExceededError(f"no subset recurrence within {cap} steps", cap=cap)
 
 
-def length_profile(dfa: Dfa, state: int, *, cap: int = DEFAULT_SUBSET_CAP) -> UltimatePeriod:
+def length_profile(dfa: Dfa, state: int) -> UltimatePeriod:
     """Ultimately periodic profile of the lengths accepted from `state`.
 
     Walks the subset map forward from {state} to its first repeated subset,
@@ -99,7 +101,7 @@ def length_profile(dfa: Dfa, state: int, *, cap: int = DEFAULT_SUBSET_CAP) -> Ul
     """
     if not 0 <= state < dfa.state_count:
         raise ValidationError(f"state {state} out of range")
-    walk, a, window = _forward_walk(dfa, state, cap)
+    walk, a, window = _forward_walk(dfa, state)
     bits = [1 if subset & dfa.finals else 0 for subset in walk]
     return _reduced(bits, a, _min_period(bits, a, window))
 

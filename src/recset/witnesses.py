@@ -28,7 +28,6 @@ from .errors import (
     InsufficientDataError,
     PreconditionError,
     RecsetError,
-    SearchCapExceededError,
     ValidationError,
 )
 from .lengths import UltimatePeriod, _forward_walk, _reachable_profiles, cofinite_threshold
@@ -41,8 +40,6 @@ from .numeration import (
     nested_chain,
     verify_kronecker,
 )
-
-DEFAULT_LENGTH_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -128,18 +125,27 @@ class GapScanResult(NamedTuple):
     positions: tuple[tuple[int, int], ...]
 
 
-def _min_value_path(dfa: Dfa, targets, min_value: int,
-                    length_cap: int) -> tuple[int, int]:
+def _min_value_path(dfa: Dfa, targets, min_value: int) -> tuple[int, int]:
     """Smallest integer >= min_value whose canonical digit path ends in `targets`.
 
-    The first value `_ordered_values` yields, trying the length of min_value
-    and `length_cap` more.  Returns (value, end_state).
+    The first value `_ordered_values` yields from the length of min_value on;
+    `targets` are the states of one witness kind in the complete normal form,
+    and state_count more lengths bound the search exactly, not as a cap:
+
+    - nonempty kind: every nonempty prefix of a word into a target also ends
+      in a target, and every target has a target successor, so targets are
+      reached at every length >= 1: the answer has at most one digit more.
+    - empty kind: every successor of a state that misses infinitely many
+      lengths misses infinitely many too, so the shortest path into a
+      target, at most state_count steps, extends to every longer length.
+
+    Returns (value, end_state).
     """
     bound = encode(min_value, dfa.alphabet_size).digits
-    value = next(_ordered_values(dfa, targets, bound, len(bound) + length_cap), None)
+    value = next(_ordered_values(dfa, targets, bound, len(bound) + dfa.state_count), None)
     if value is None:
-        raise SearchCapExceededError(
-            f"no qualifying integer found within {length_cap} digit lengths", cap=length_cap)
+        raise RecsetError(f"internal: no qualifying integer within {dfa.state_count} "
+                          f"digit lengths of {min_value}")
     return value, dfa.walk(dfa.initial, encode(value, dfa.alphabet_size))
 
 
@@ -160,7 +166,8 @@ def verify_interval_witness(s: RecognizableSet, w: IntervalWitness) -> bool:
     {w.state} runs to its first repeated subset, which fixes a preperiod and
     period; every depth a+b*k is reduced onto that walk, and past the
     preperiod the depths repeat once k has run through period/gcd(b, period)
-    values.  The cost is one walk, whatever the sizes of a and b.
+    values.  The cost is one walk, whatever the sizes of a and b; a walk past
+    `lengths.DEFAULT_SUBSET_CAP` steps raises SearchCapExceededError.
     """
     if w.m < 1 or w.a < 1 or w.b < 1:
         return False
@@ -192,7 +199,7 @@ def _qualifying_profiles(s: RecognizableSet) -> dict[int, UltimatePeriod]:
 
 
 def _witness(s: RecognizableSet, profiles: dict[int, UltimatePeriod], kind: str,
-             m_min: int, length_cap: int) -> IntervalWitness | None:
+             m_min: int) -> IntervalWitness | None:
     """Least-m witness of the given kind, exactly re-checked; None if no state qualifies.
 
     The target states are those whose length set holds infinitely many lengths
@@ -203,7 +210,7 @@ def _witness(s: RecognizableSet, profiles: dict[int, UltimatePeriod], kind: str,
     targets = frozenset(st for st, prof in profiles.items() if bit in prof.cycle_bits)
     if not targets:
         return None
-    value, state = _min_value_path(s.normal_form, targets, m_min, length_cap)
+    value, state = _min_value_path(s.normal_form, targets, m_min)
     prof = profiles[state]
     w = IntervalWitness(value, _first_bit_past_preperiod(prof, bit), prof.period, state, kind)
     if not verify_interval_witness(s, w):
@@ -211,8 +218,7 @@ def _witness(s: RecognizableSet, profiles: dict[int, UltimatePeriod], kind: str,
     return w
 
 
-def nonempty_interval_witness(s: RecognizableSet, m_min: int = 1, *,
-                              length_cap: int = DEFAULT_LENGTH_CAP) -> IntervalWitness:
+def nonempty_interval_witness(s: RecognizableSet, m_min: int = 1) -> IntervalWitness:
     """Witness that the intervals [m*p**(a+b*k), (m+1)*p**(a+b*k)) all meet the set.
 
     m is the smallest integer >= m_min whose digit path ends in a state with
@@ -224,11 +230,10 @@ def nonempty_interval_witness(s: RecognizableSet, m_min: int = 1, *,
         raise PreconditionError(f"m_min must be >= 1, got {m_min}")
     if not has_infinite_language(s.dfa):
         raise FiniteSetError("the set is finite: no nonempty interval family exists")
-    return _witness(s, _qualifying_profiles(s), "nonempty", m_min, length_cap)
+    return _witness(s, _qualifying_profiles(s), "nonempty", m_min)
 
 
-def empty_interval_witness(s: RecognizableSet, *,
-                           length_cap: int = DEFAULT_LENGTH_CAP) -> IntervalWitness | None:
+def empty_interval_witness(s: RecognizableSet) -> IntervalWitness | None:
     """Witness that the intervals [m*p**(a+b*k), (m+1)*p**(a+b*k)) all miss the set.
 
     Exists iff some qualifying state of the set's normal form misses
@@ -238,11 +243,10 @@ def empty_interval_witness(s: RecognizableSet, *,
     """
     if not has_infinite_language(s.dfa):
         raise FiniteSetError("the set is finite: use a direct scan instead")
-    return _witness(s, _qualifying_profiles(s), "empty", 1, length_cap)
+    return _witness(s, _qualifying_profiles(s), "empty", 1)
 
 
-def syndetic_decide(s: RecognizableSet, *,
-                    length_cap: int = DEFAULT_LENGTH_CAP) -> SyndeticVerdict:
+def syndetic_decide(s: RecognizableSet) -> SyndeticVerdict:
     """Decide whether the set has bounded gaps between consecutive elements.
 
     Finite sets get the Finite verdict.  Otherwise every qualifying state of
@@ -259,7 +263,7 @@ def syndetic_decide(s: RecognizableSet, *,
     if not has_infinite_language(s.dfa):
         return Finite()
     profiles = _qualifying_profiles(s)
-    w = _witness(s, profiles, "empty", 1, length_cap)
+    w = _witness(s, profiles, "empty", 1)
     if w is not None:
         return NotSyndetic(w)
     thresholds = {st: cofinite_threshold(profiles[st]) for st in sorted(profiles)}
@@ -294,8 +298,7 @@ def gap_scan(s: RecognizableSet, horizon: int) -> GapScanResult:
 
 
 def cross_base_refute(set_p: RecognizableSet, set_q: RecognizableSet, *,
-                      cap: int = DEFAULT_KRONECKER_CAP,
-                      length_cap: int = DEFAULT_LENGTH_CAP) -> ContradictionCertificate | None:
+                      cap: int = DEFAULT_KRONECKER_CAP) -> ContradictionCertificate | None:
     """Nested-interval proof that two automata recognize different sets, if one exists this way.
 
     The second set must admit an empty interval family (n, c, d); the first,
@@ -317,10 +320,10 @@ def cross_base_refute(set_p: RecognizableSet, set_q: RecognizableSet, *,
             f"bases {p} and {q} are multiplicatively dependent: {p}^{wk} = {q}^{wl}")
     if not has_infinite_language(set_p.dfa) or not has_infinite_language(set_q.dfa):
         raise FiniteSetError("both sets must be infinite")
-    ew = _witness(set_q, _qualifying_profiles(set_q), "empty", 1, length_cap)
+    ew = _witness(set_q, _qualifying_profiles(set_q), "empty", 1)
     if ew is None:
         return None
-    nw = _witness(set_p, _qualifying_profiles(set_p), "nonempty", ew.m + 1, length_cap)
+    nw = _witness(set_p, _qualifying_profiles(set_p), "nonempty", ew.m + 1)
     kw = kronecker_witness(nw.m, ew.m, nw.a, nw.b, ew.a, ew.b, p, q, cap=cap)
     nf = set_p.normal_form
     # the least element >= m*p**depth with as many digits, depth = a + b*K

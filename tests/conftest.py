@@ -85,6 +85,30 @@ def prime_cycles(base: int = 10, primes=(2, 3, 5, 7, 11, 13, 17),
     return RecognizableSet(Dfa(base, n, 0, frozenset(entries), transitions))
 
 
+def fan_out_cycles(primes=(2, 3, 5, 7, 11, 13)) -> RecognizableSet:
+    """A syndetic set whose length profiles all have period 1, but not its subsets.
+
+    In base len(primes) + 1, the leading digit 1 leads to one fan-out state,
+    whose digit i enters the i-th cycle; digit 0 walks each cycle, whose entry
+    is its only final state, and every other digit goes to a final sink.  The
+    subsets reached from the fan-out state recur only after the lcm of the
+    primes.
+    """
+    base, sink, n = len(primes) + 1, 2, 3
+    transitions = {(0, 1): 1, (1, 0): sink}
+    transitions.update({(0, d): sink for d in range(2, base)})
+    transitions.update({(sink, d): sink for d in range(base)})
+    finals = {sink}
+    for i, p in enumerate(primes, 1):
+        transitions[(1, i)] = n
+        finals.add(n)
+        for j in range(p):
+            transitions[(n + j, 0)] = n + (j + 1) % p
+            transitions.update({(n + j, d): sink for d in range(1, base)})
+        n += p
+    return RecognizableSet(Dfa(base, n, 0, frozenset(finals), transitions))
+
+
 def finite_set(values, base: int) -> RecognizableSet:
     """Trie automaton accepting exactly the given values."""
     words = [encode(v, base).digits for v in sorted(set(values)) if v > 0]

@@ -295,14 +295,17 @@ def test_malformed_documents_exit_2(capsys, tmp_path, content, message):
 
 def test_negative_caps_are_usage_errors(capsys, files):
     kronecker = ["kronecker", "2", "1", "1", "1", "1", "1", "2", "3"]
-    for argv in (["witness-nonempty", files["example1"]], ["witness-empty", files["example1"]],
-                 ["syndetic", files["example1"]], ["refute", files["nat3"], files["example1"]],
-                 kronecker):
+    for argv in (["refute", files["nat3"], files["example1"]], kronecker):
         code, out, err = run(capsys, *argv, "--cap", "-1")
         assert (code, out) == (2, "")
         assert "argument --cap: must be >= 0, got -1" in err
-    assert run(capsys, "syndetic", files["example1"], "--cap", "0")[0] == 1
-    assert "invalid int value: 'x'" in run(capsys, "syndetic", files["example1"], "--cap", "x")[2]
+    assert run(capsys, *kronecker, "--cap", "0")[0] == 3  # the least l is 2
+    assert "invalid int value: 'x'" in run(capsys, *kronecker, "--cap", "x")[2]
+    # the witness searches are exact: they take no cap
+    for command in ("witness-nonempty", "witness-empty", "syndetic"):
+        code, out, err = run(capsys, command, files["example1"], "--cap", "10")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --cap 10" in err
 
 
 def test_cached_parser_answers_as_a_fresh_one(capsys, files, monkeypatch):

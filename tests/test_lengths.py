@@ -143,15 +143,17 @@ def test_profile_validation():
         length_profile(example1().dfa, 3)
 
 
-def test_profile_cap():
+def test_profile_cap(monkeypatch):
     dfa = multiples_of(5, 2).dfa
+    monkeypatch.setattr(lengths, "DEFAULT_SUBSET_CAP", 1)
     with pytest.raises(SearchCapExceededError) as err:
-        length_profile(dfa, 0, cap=1)
+        length_profile(dfa, 0)
     assert err.value.cap == 1
     dfa = full_set(2).dfa  # the final state 1 loops onto itself: step 1 repeats
-    assert length_profile(dfa, 1, cap=1).cycle_bits == (1,)
+    assert length_profile(dfa, 1).cycle_bits == (1,)
+    monkeypatch.setattr(lengths, "DEFAULT_SUBSET_CAP", 0)
     with pytest.raises(SearchCapExceededError) as err:
-        length_profile(dfa, 1, cap=0)
+        length_profile(dfa, 1)
     assert err.value.cap == 0
 
 

@@ -35,10 +35,11 @@ from recset import (
     verify_contradiction,
     verify_interval_witness,
 )
-from recset.lengths import DEFAULT_SUBSET_CAP
+from recset import lengths
 from conftest import (
     chain,
     example1_oracle,
+    fan_out_cycles,
     finite_set,
     full_set,
     multiples_of,
@@ -179,23 +180,17 @@ def _ones_then_parity(c: int) -> RecognizableSet:
 
 
 @pytest.mark.parametrize("c", [2, 5])
-def test_length_cap_counts_the_lengths_past_the_first(c):
-    s = _ones_then_parity(c)
-    assert empty_interval_witness(s, length_cap=c).m == 2 ** (c + 1) - 1
-    with pytest.raises(SearchCapExceededError) as err:
-        empty_interval_witness(s, length_cap=c - 1)
-    assert err.value.cap == c - 1
+def test_empty_search_runs_past_the_first_length(c):
+    # the least m has c + 1 digits, c lengths past the first one searched
+    assert empty_interval_witness(_ones_then_parity(c)).m == 2 ** (c + 1) - 1
 
 
-def test_length_cap_counts_for_the_nonempty_search():
+def test_nonempty_search_runs_one_length_on():
     # words starting 10: after 11 nothing qualifies, so from m_min = 3 the
     # least m is 4, one digit length on.  No set needs more: a qualifying
     # nonempty state's one-digit-shorter prefix qualifies too
     s = RecognizableSet(Dfa(2, 3, 0, {2}, {(0, 1): 1, (1, 0): 2, (2, 0): 2, (2, 1): 2}))
-    assert nonempty_interval_witness(s, m_min=3, length_cap=1).m == 4
-    with pytest.raises(SearchCapExceededError) as err:
-        nonempty_interval_witness(s, m_min=3, length_cap=0)
-    assert err.value.cap == 0
+    assert nonempty_interval_witness(s, m_min=3).m == 4
 
 
 def test_witnesses_on_random_corpus():
@@ -230,8 +225,11 @@ def _infinite(prof):
     return any(prof.cycle_bits)
 
 
+def _coinfinite(prof):
+    return not all(prof.cycle_bits)
+
+
 def test_witness_m_is_minimal_against_brute_force():
-    coinfinite = lambda prof: not all(prof.cycle_bits)
     cases = [(example1(), 1), (example1(), 3), (multiples_of(3, 2), 1),
              (multiples_of(3, 2), 7), (powers_of_two(), 1), (powers_of_two(), 5)]
     cases += [(s, m) for s in random_recognizable_sets(1001, 8) for m in (1, 4)]
@@ -241,7 +239,7 @@ def test_witness_m_is_minimal_against_brute_force():
     for s in [example1(), powers_of_two()] + random_recognizable_sets(1002, 8):
         w = empty_interval_witness(s)
         if w is not None:
-            assert w.m == _brute_first_m(s, 1, coinfinite)
+            assert w.m == _brute_first_m(s, 1, _coinfinite)
 
 
 @st.composite
@@ -265,6 +263,9 @@ def test_enumeration_and_witness_m_match_brute_force(s, m_min):
     if has_infinite_language(s.dfa):
         # m_min's digits bound the first length searched, so this exercises backtracking
         assert nonempty_interval_witness(s, m_min).m == _brute_first_m(s, m_min, _infinite)
+        w = empty_interval_witness(s)
+        if w is not None:
+            assert w.m == _brute_first_m(s, 1, _coinfinite)
 
 
 def test_verify_rejects_tampered_witness():
@@ -402,11 +403,22 @@ def test_qualifying_profiles_keep_the_subset_cap(last_prime):
         for search in (syndetic_decide, empty_interval_witness):
             with pytest.raises(SearchCapExceededError) as err:
                 search(s)
-            assert err.value.cap == DEFAULT_SUBSET_CAP
+            assert err.value.cap == lengths.DEFAULT_SUBSET_CAP
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+def test_verifier_walk_keeps_the_subset_cap(monkeypatch):
+    # every profile has period 1, so syndetic needs no long recurrence, but the
+    # verifier's walk from the fan-out state recurs only after lcm(2..13) = 30030
+    s = fan_out_cycles()
+    monkeypatch.setattr(lengths, "DEFAULT_SUBSET_CAP", 1000)
+    assert isinstance(syndetic_decide(s), Syndetic)
+    with pytest.raises(SearchCapExceededError) as err:
+        nonempty_interval_witness(s)
+    assert err.value.cap == 1000
 
 
 def test_single_state_profile_walks_only_its_own_recurrence(monkeypatch):
