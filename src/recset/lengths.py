@@ -1,13 +1,12 @@
 """Per-state length sets and their ultimately periodic structure.
 
 For a state s, the length set is { |w| : w drives s into a final state }; its
-indicator sequence is ultimately periodic.  `length_profile` (and the witness
-verifiers) walk the subset map forward from {s} to its first repeat;
-`_reachable_profiles` profiles every state reachable from some sources in one
-pass over the strongly connected components, successors first, in the order
-`automata._components` yields them, by the backward recurrence
-bit_s(r) = OR over digits d of bit_delta(s,d)(r - 1).  Both reduce
-to minimal (preperiod, period) form the same way.
+indicator sequence is ultimately periodic.  One recurrence computes it:
+`_reachable_profiles` runs bit_s(r) = OR over digits d of bit_delta(s,d)(r - 1)
+over the states reachable from some sources, one strongly connected component
+at a time, successors first (`automata._components`), and reduces each profile
+to minimal (preperiod, period) form.  `length_profile`, the syndeticity
+decision, the witness searches and the witness verifier all read it.
 """
 
 from __future__ import annotations
@@ -18,19 +17,10 @@ from dataclasses import dataclass
 from .automata import Dfa, _components
 from .errors import SearchCapExceededError, ValidationError
 
+# The most depths one component's recurrence may run.  Each depth holds a vector
+# and a (vector, depth mod lcm) key: 190 bytes for a one-state component on 64-bit
+# CPython (tracemalloc, 97 MB at 510 510 depths), so 2**20 depths stay near 200 MB.
 DEFAULT_SUBSET_CAP = 1 << 20
-
-
-def subset_step(dfa: Dfa, states) -> frozenset[int]:
-    """One synchronous step: every state reachable from `states` by one digit.
-
-    Undefined transitions contribute nothing; the empty subset is absorbing.
-    """
-    out: set[int] = set()
-    for s in states:
-        out.update(dfa.rows[s])
-    out.discard(-1)
-    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -73,48 +63,16 @@ def _reduced(bits, a: int, period: int) -> UltimatePeriod:
     return UltimatePeriod(pre, period, tuple(bits[:pre]), tuple(bits[pre:pre + period]))
 
 
-def _forward_walk(dfa: Dfa, state: int):
-    """(walk, preperiod, period): the subsets reached from {state} up to the first repeat.
-
-    Depth n >= preperiod reaches walk[preperiod + (n - preperiod) % period].  A
-    recurrence longer than DEFAULT_SUBSET_CAP steps raises SearchCapExceededError.
-    """
-    cap = DEFAULT_SUBSET_CAP
-    walk = [frozenset({state})]
-    first_seen = {walk[0]: 0}
-    while len(walk) <= cap:  # step len(walk) is the next one
-        nxt = subset_step(dfa, walk[-1])
-        if nxt in first_seen:
-            pre = first_seen[nxt]
-            return walk, pre, len(walk) - pre
-        first_seen[nxt] = len(walk)
-        walk.append(nxt)
-    raise SearchCapExceededError(f"no subset recurrence within {cap} steps", cap=cap)
-
-
-def length_profile(dfa: Dfa, state: int) -> UltimatePeriod:
-    """Ultimately periodic profile of the lengths accepted from `state`.
-
-    Walks the subset map forward from {state} to its first repeated subset,
-    recording whether each reached subset meets the final states, and reduces
-    the observed recurrence to minimal form.
-    """
-    if not 0 <= state < dfa.state_count:
-        raise ValidationError(f"state {state} out of range")
-    walk, a, window = _forward_walk(dfa, state)
-    bits = [1 if subset & dfa.finals else 0 for subset in walk]
-    return _reduced(bits, a, _min_period(bits, a, window))
-
-
-def _component_profiles(dfa: Dfa, comp: list[int], profiles: dict) -> None:
+def _component_profiles(dfa: Dfa, comp: list[int], profiles: dict, read) -> None:
     """Profile one strongly connected component, its successors already profiled.
 
     Bit i of v(r) says whether comp[i] accepts a length-r word.  Past every
     exit's preperiod the exit bits depend only on r mod the lcm of the exit
     periods, so the sequence recurs once (v(r), r mod lcm) repeats.  All
     states of a component share one minimal period: each length set holds a
-    shift of every other one.  A recurrence longer than DEFAULT_SUBSET_CAP
-    depths raises SearchCapExceededError, as the forward walk does.
+    shift of every other one.  Only the states in `read` (all when None) are
+    reduced.  A recurrence past DEFAULT_SUBSET_CAP depths raises
+    SearchCapExceededError.
     """
     local = {s: i for i, s in enumerate(comp)}
     preds, exits = [0] * len(comp), {}
@@ -150,15 +108,38 @@ def _component_profiles(dfa: Dfa, comp: list[int], profiles: dict) -> None:
     a = seen[v, r % lcm]
     period = _min_period(vectors, a, r - a)
     for i, s in enumerate(comp):
-        profiles[s] = _reduced([w >> i & 1 for w in vectors[:a + period]], a, period)
+        if read is None or s in read:
+            profiles[s] = _reduced([w >> i & 1 for w in vectors[:a + period]], a, period)
 
 
-def _reachable_profiles(dfa: Dfa, sources) -> dict[int, UltimatePeriod]:
-    """Length profile of every state reachable from `sources`, sources included."""
+def _reachable_profiles(dfa: Dfa, sources, every: bool = True) -> dict[int, UltimatePeriod]:
+    """Length profile of every state reachable from `sources`, sources included.
+
+    With every=False only the profiles somebody reads: those of the sources
+    and of the states that an edge enters from another component.
+    """
+    comps = list(_components(dfa.rows, sources))
+    read = None
+    if not every:
+        comp_of = {s: i for i, comp in enumerate(comps) for s in comp}
+        read = set(sources).union(t for s, i in comp_of.items() for t in dfa.rows[s]
+                                  if t >= 0 and comp_of[t] != i)
     profiles: dict[int, UltimatePeriod] = {}
-    for comp in _components(dfa.rows, sources):
-        _component_profiles(dfa, comp, profiles)
+    for comp in comps:
+        _component_profiles(dfa, comp, profiles, read)
     return profiles
+
+
+def length_profile(dfa: Dfa, state: int) -> UltimatePeriod:
+    """Ultimately periodic profile of the lengths accepted from `state`.
+
+    One run of the per-component recurrence over the states reachable from
+    `state`, which reduces only `state` and the entries of the components
+    below it.
+    """
+    if not 0 <= state < dfa.state_count:
+        raise ValidationError(f"state {state} out of range")
+    return _reachable_profiles(dfa, [state], every=False)[state]
 
 
 def cofinite_threshold(profile: UltimatePeriod) -> int | None:

@@ -30,7 +30,7 @@ from .errors import (
     RecsetError,
     ValidationError,
 )
-from .lengths import UltimatePeriod, _forward_walk, _reachable_profiles, cofinite_threshold
+from .lengths import UltimatePeriod, _reachable_profiles, cofinite_threshold, length_profile
 from .numeration import (
     DEFAULT_KRONECKER_CAP,
     KroneckerWitness,
@@ -160,29 +160,24 @@ def _first_bit_past_preperiod(profile: UltimatePeriod, wanted: int) -> int:
 def verify_interval_witness(s: RecognizableSet, w: IntervalWitness) -> bool:
     """Re-check a witness against its set, exactly and for every k.
 
-    The digits of m must reach w.state in the set's normal form, and the
-    subset reached from {w.state} in a+b*k steps must meet the finals
-    (nonempty kind) or avoid them (empty kind).  A forward subset walk from
-    {w.state} runs to its first repeated subset, which fixes a preperiod and
-    period; every depth a+b*k is reduced onto that walk, and past the
-    preperiod the depths repeat once k has run through period/gcd(b, period)
-    values.  The cost is one walk, whatever the sizes of a and b; a walk past
-    `lengths.DEFAULT_SUBSET_CAP` steps raises SearchCapExceededError.
+    The digits of m must reach w.state in the set's normal form, and w.state
+    must accept a word of length a+b*k (nonempty kind) or none (empty kind).
+    These bits are read off w.state's length profile, from the recurrence the
+    witness searches use too: past the preperiod the depths a+b*k repeat once
+    k has run through period/gcd(b, period) values, whatever the sizes of a
+    and b.  A recurrence past `lengths.DEFAULT_SUBSET_CAP` depths raises
+    SearchCapExceededError.
     """
     if w.m < 1 or w.a < 1 or w.b < 1:
         return False
     dfa = s.normal_form
     if dfa.walk(dfa.initial, encode(w.m, s.base)) != w.state:
         return False
-    walk, pre, period = _forward_walk(dfa, w.state)
+    prof = length_profile(dfa, w.state)
     want = w.kind == "nonempty"
+    pre, period = prof.preperiod, prof.period
     strides = -(-max(0, pre - w.a) // w.b) + period // math.gcd(w.b, period)
-    for k in range(strides):
-        depth = w.a + w.b * k
-        subset = walk[depth] if depth < pre else walk[pre + (depth - pre) % period]
-        if bool(subset & dfa.finals) != want:
-            return False
-    return True
+    return all(prof.bit(w.a + w.b * k) == want for k in range(strides))
 
 
 def _qualifying_profiles(s: RecognizableSet) -> dict[int, UltimatePeriod]:

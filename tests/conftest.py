@@ -9,6 +9,7 @@ import pytest
 from recset import (
     Dfa,
     RecognizableSet,
+    UltimatePeriod,
     complete,
     encode,
     example1,
@@ -184,6 +185,35 @@ def moore_minimize(dfa: Dfa) -> Dfa:
     transitions = {(block[s], d): block[rows[s][d]] for s in range(n) for d in range(p)}
     quotient = Dfa(p, nblocks, block[c.initial], frozenset(block[s] for s in c.finals), transitions)
     return _bfs_renumber(trim(quotient))
+
+
+def subset_step(dfa: Dfa, states) -> frozenset[int]:
+    """One synchronous step: every state reachable from `states` by one digit.
+
+    Undefined transitions contribute nothing; the empty subset is absorbing.
+    """
+    return frozenset(t for s in states for t in dfa.rows[s] if t >= 0)
+
+
+def walk_profile(dfa: Dfa, state: int) -> UltimatePeriod:
+    """Length profile by the forward subset walk, the slow reference for the engine.
+
+    Walks the subsets reached from {state} to the first repeated one, records
+    whether each meets the finals, and cuts the observed recurrence down to
+    its least period and then its least preperiod.
+    """
+    walk, first_seen = [frozenset({state})], {}
+    while walk[-1] not in first_seen:
+        first_seen[walk[-1]] = len(walk) - 1
+        walk.append(subset_step(dfa, walk[-1]))
+    pre = first_seen[walk.pop()]
+    bits = [1 if subset & dfa.finals else 0 for subset in walk]
+    window = len(bits) - pre
+    period = next(c for c in range(1, window + 1) if window % c == 0
+                  and all(bits[pre + i] == bits[pre + (i + c) % window] for i in range(window)))
+    while pre > 0 and bits[pre - 1] == bits[pre - 1 + period]:
+        pre -= 1
+    return UltimatePeriod(pre, period, tuple(bits[:pre]), tuple(bits[pre:pre + period]))
 
 
 def scan_elements(s: RecognizableSet, bound: int) -> list[int]:

@@ -21,7 +21,7 @@ from recset import (
     set_from_document,
     write_automaton,
 )
-from conftest import finite_set, multiples_of, powers_of_two, random_recognizable_sets
+from conftest import finite_set, full_set, multiples_of, powers_of_two, random_recognizable_sets
 
 
 def test_round_trip_example1(tmp_path):
@@ -133,6 +133,17 @@ def test_integer_past_the_digit_limit_is_validation_error():
             loads_automaton('{"base": ' + "9" * 5000 + "}")
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def test_base_wider_than_the_document_rejected():
+    # a row is `base` slots wide: a base past the document's length is refused
+    # before any row is built, while a document that lists a full row loads
+    text = json.dumps({"format_version": 1, "base": 10**19, "state_count": 1, "initial": 0,
+                       "finals": [], "transitions": [], "contains_zero": False})
+    with pytest.raises(ValidationError, match=f"base {10**19} exceeds the document's length "
+                                              f"of {len(text)} characters"):
+        loads_automaton(text)
+    assert loads_automaton(dumps_automaton(full_set(1000))).base == 1000
 
 
 def test_leading_zero_acceptance_strict_vs_lenient():

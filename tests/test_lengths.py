@@ -1,4 +1,4 @@
-"""Length-set profiles: subset stepping, recurrence reduction, cofiniteness."""
+"""Length-set profiles: the per-component engine against the forward walk, reduction, cofiniteness."""
 
 from __future__ import annotations
 
@@ -17,13 +17,12 @@ from recset import (
     complete,
     example1,
     length_profile,
-    subset_step,
     trim,
 )
 from recset.automata import _reachable
 from recset import lengths
 from recset.lengths import _reachable_profiles
-from conftest import full_set, multiples_of, random_dfa
+from conftest import full_set, multiples_of, random_dfa, subset_step, walk_profile
 
 
 def _oracle_bits(dfa: Dfa, state: int, upto: int) -> list[int]:
@@ -38,6 +37,8 @@ def _oracle_bits(dfa: Dfa, state: int, upto: int) -> list[int]:
                    if (s, d) in dfa.transitions}
     return bits
 
+
+# -- the forward-walk oracle's subset step ------------------------------------
 
 def test_subset_step_example1():
     dfa = example1().dfa
@@ -192,7 +193,7 @@ def test_profiles_of_mod3_base2_states():
     assert all(prof.bit(n) == 1 for n in range(2, 20))
 
 
-# -- the per-component engine against the single-state walk ------------------
+# -- the per-component engine against the forward-walk oracle ----------------
 
 @st.composite
 def _blocked_dfas(draw):
@@ -237,7 +238,16 @@ def test_component_engine_equals_the_forward_walk(case):
     profiles = _reachable_profiles(dfa, sources)
     assert set(profiles) == _reachable(dfa, sources)
     for state, prof in profiles.items():
-        assert prof == length_profile(dfa, state)
+        assert prof == walk_profile(dfa, state)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_blocked_dfas())
+def test_single_state_profiles_equal_the_forward_walk(case):
+    # each call reduces only its own state and the entries below it
+    dfa, _ = case
+    for state in range(dfa.state_count):
+        assert length_profile(dfa, state) == walk_profile(dfa, state)
 
 
 def test_component_engine_keeps_the_subset_cap(monkeypatch):
@@ -250,7 +260,7 @@ def test_component_engine_keeps_the_subset_cap(monkeypatch):
     transitions.update({(5 + j, d): 5 + (j + 1) % 7 for j in range(7) for d in (0, 1)})
     dfa = Dfa(2, 12, 0, frozenset({5}), transitions)
     monkeypatch.setattr(lengths, "DEFAULT_SUBSET_CAP", 36)
-    assert _reachable_profiles(dfa, [0])[0] == length_profile(dfa, 0)
+    assert _reachable_profiles(dfa, [0])[0] == walk_profile(dfa, 0)
     monkeypatch.setattr(lengths, "DEFAULT_SUBSET_CAP", 35)
     with pytest.raises(SearchCapExceededError) as err:
         _reachable_profiles(dfa, [0])

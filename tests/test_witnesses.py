@@ -47,6 +47,7 @@ from conftest import (
     prime_cycles,
     random_recognizable_sets,
     scan_elements,
+    subset_step,
 )
 
 
@@ -303,7 +304,7 @@ def test_verify_matches_a_deep_stride_walk():
     # reference: the subset walk taken stride by stride for 200 strides, far
     # past every preperiod and period of these small automata
     import itertools
-    from recset import IntervalWitness, encode, subset_step
+    from recset import IntervalWitness, encode
 
     def deep_walk(s, w):
         dfa = s.normal_form
@@ -375,20 +376,26 @@ def test_refute_checks_each_set_for_infiniteness_once(monkeypatch):
 
 
 def test_qualifying_profiles_take_no_single_state_walk(monkeypatch):
-    # 2001 qualifying states share one component, profiled in one pass
+    # 2001 qualifying states share one component, profiled in one pass that
+    # reduces each of them once; no single-state profile runs beside it
     walks = _record_calls(monkeypatch, "length_profile", "lengths")
-    steps = _record_calls(monkeypatch, "subset_step", "lengths")
+    passes = _record_calls(monkeypatch, "_reachable_profiles", "lengths")
+    reductions = _record_calls(monkeypatch, "_reduced", "lengths")
     assert isinstance(syndetic_decide(multiples_of(2001, 2)), Syndetic)
-    assert walks == [] and steps == []
+    assert (len(walks), len(passes), len(reductions)) == (0, 1, 2001)
 
 
 def test_prime_cycles_are_profiled_one_component_at_a_time(monkeypatch):
     # one pass over all seven cycles together would run lcm(2..17) = 510510 depths;
-    # `_min_period` receives each pass's whole history of vectors
+    # `_min_period` receives each pass's whole history of vectors.  The decision
+    # profiles the seven cycles, then the verifier profiles its witness's cycle
     histories = _record_calls(monkeypatch, "_min_period", "lengths")
     s = prime_cycles()
-    assert isinstance(syndetic_decide(s), NotSyndetic)
-    assert sorted(len(h) for h in histories) == [2, 3, 5, 7, 11, 13, 17]
+    verdict = syndetic_decide(s)
+    assert isinstance(verdict, NotSyndetic)
+    lengths_seen = [len(h) for h in histories]
+    assert sorted(lengths_seen[:7]) == [2, 3, 5, 7, 11, 13, 17]
+    assert lengths_seen[7:] == [length_profile(s.normal_form, verdict.witness.state).period]
 
 
 @pytest.mark.parametrize("last_prime", [19, 29])
@@ -410,22 +417,36 @@ def test_qualifying_profiles_keep_the_subset_cap(last_prime):
     assert peak < 2 << 20
 
 
-def test_verifier_walk_keeps_the_subset_cap(monkeypatch):
-    # every profile has period 1, so syndetic needs no long recurrence, but the
-    # verifier's walk from the fan-out state recurs only after lcm(2..13) = 30030
-    s = fan_out_cycles()
-    monkeypatch.setattr(lengths, "DEFAULT_SUBSET_CAP", 1000)
-    assert isinstance(syndetic_decide(s), Syndetic)
-    with pytest.raises(SearchCapExceededError) as err:
-        nonempty_interval_witness(s)
-    assert err.value.cap == 1000
+def test_verifier_reads_the_witness_state_profile(capsys, tmp_path):
+    # every profile has period 1, while the subsets reached from the fan-out
+    # state recur only after lcm(2..29) = 6 469 693 230 digits: the verifier
+    # reads the fan-out state's profile, not a walk over those subsets
+    from recset import IntervalWitness, write_automaton
+    from recset.cli import main
+    s = fan_out_cycles(primes=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
+    tracemalloc.start()
+    try:
+        w = nonempty_interval_witness(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (w.m, w.a, w.b, w.kind) == (1, 2, 1, "nonempty")
+    assert verify_interval_witness(s, w)
+    assert not verify_interval_witness(s, IntervalWitness(1, 2, 1, w.state, "empty"))
+    assert peak < 2 << 20
+    path = tmp_path / "fan.aut"
+    write_automaton(path, s)
+    assert main(["witness-nonempty", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("kind: nonempty\nm: 1\na: 2\nb: 1\n")
 
 
 def test_single_state_profile_walks_only_its_own_recurrence(monkeypatch):
-    steps = _record_calls(monkeypatch, "subset_step", "lengths")
+    # state 5 lies on a 999-state cycle: one component, whose other 998
+    # states nobody reads
+    reductions = _record_calls(monkeypatch, "_reduced", "lengths")
     prof = length_profile(chain(1000, 2).dfa, 5)
     assert prof.period == 999
-    assert len(steps) <= 1000
+    assert len(reductions) == 1
 
 
 # -- syndeticity --------------------------------------------------------------
