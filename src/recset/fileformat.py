@@ -107,12 +107,6 @@ def loads_automaton(text: str, *, strict: bool = True) -> RecognizableSet:
         raise ValidationError("parse error: the document nests too deeply") from e
     except ValueError as e:  # an integer past the int-to-str digit limit
         raise ValidationError(f"parse error: {e}") from e
-    # A row is `base` slots wide, so a base above the document's length is refused
-    # before any row exists.  Not a cap: a document listing one full row is longer
-    # than its base; the rule keeps each row within a fixed multiple of the input.
-    base = doc.get("base") if isinstance(doc, dict) else None
-    if isinstance(base, int) and base > len(text):
-        raise ValidationError(f"base {base} exceeds the document's length of {len(text)} characters")
     return set_from_document(doc, strict=strict)
 
 

@@ -63,25 +63,26 @@ def _reduced(bits, a: int, period: int) -> UltimatePeriod:
     return UltimatePeriod(pre, period, tuple(bits[:pre]), tuple(bits[pre:pre + period]))
 
 
-def _component_profiles(dfa: Dfa, comp: list[int], profiles: dict, read) -> None:
-    """Profile one strongly connected component, its successors already profiled.
+def _component_vectors(dfa: Dfa, comp: list[int], profiles: dict):
+    """(vectors, a, period) of one strongly connected component, its successors profiled.
 
     Bit i of v(r) says whether comp[i] accepts a length-r word.  Past every
     exit's preperiod the exit bits depend only on r mod the lcm of the exit
     periods, so the sequence recurs once (v(r), r mod lcm) repeats.  All
     states of a component share one minimal period: each length set holds a
-    shift of every other one.  Only the states in `read` (all when None) are
-    reduced.  A recurrence past DEFAULT_SUBSET_CAP depths raises
-    SearchCapExceededError.
+    shift of every other one.  `vectors` runs up to v(a + period - 1).  A
+    recurrence past DEFAULT_SUBSET_CAP depths raises SearchCapExceededError.
     """
     local = {s: i for i, s in enumerate(comp)}
     preds, exits = [0] * len(comp), {}
     for i, s in enumerate(comp):
+        bit = 1 << i
         for t in dfa.rows[s]:
-            if t in local:
-                preds[local[t]] |= 1 << i
+            j = local.get(t)
+            if j is not None:
+                preds[j] |= bit
             elif t >= 0:
-                exits[t] = exits.get(t, 0) | 1 << i
+                exits[t] = exits.get(t, 0) | bit
     outside = [(profiles[t], mask) for t, mask in exits.items()]
     settled = max((prof.preperiod for prof, _ in outside), default=0)
     lcm = math.lcm(*(prof.period for prof, _ in outside))
@@ -107,36 +108,40 @@ def _component_profiles(dfa: Dfa, comp: list[int], profiles: dict, read) -> None
         v = nxt
     a = seen[v, r % lcm]
     period = _min_period(vectors, a, r - a)
-    for i, s in enumerate(comp):
-        if read is None or s in read:
-            profiles[s] = _reduced([w >> i & 1 for w in vectors[:a + period]], a, period)
+    return vectors[:a + period], a, period
+
+
+class _Profiles(dict):
+    """Length profiles by state, each reduced from its component's vectors when first read."""
+
+    def __init__(self):
+        super().__init__()
+        self.pending = {}
+
+    def __missing__(self, s):
+        vectors, i, a, period = self.pending.pop(s)
+        prof = self[s] = _reduced([w >> i & 1 for w in vectors], a, period)
+        return prof
 
 
 def _reachable_profiles(dfa: Dfa, sources, every: bool = True) -> dict[int, UltimatePeriod]:
     """Length profile of every state reachable from `sources`, sources included.
 
-    With every=False only the profiles somebody reads: those of the sources
-    and of the states that an edge enters from another component.
+    With every=False each is reduced only when read: by the caller, or by a
+    component with an edge into it.
     """
-    comps = list(_components(dfa.rows, sources))
-    read = None
-    if not every:
-        comp_of = {s: i for i, comp in enumerate(comps) for s in comp}
-        read = set(sources).union(t for s, i in comp_of.items() for t in dfa.rows[s]
-                                  if t >= 0 and comp_of[t] != i)
-    profiles: dict[int, UltimatePeriod] = {}
-    for comp in comps:
-        _component_profiles(dfa, comp, profiles, read)
+    profiles = _Profiles()
+    for comp in _components(dfa.rows, sources):
+        vectors, a, period = _component_vectors(dfa, comp, profiles)
+        profiles.pending.update((s, (vectors, i, a, period)) for i, s in enumerate(comp))
+        if every:
+            for s in comp:
+                profiles[s]  # a read: __missing__ reduces it
     return profiles
 
 
 def length_profile(dfa: Dfa, state: int) -> UltimatePeriod:
-    """Ultimately periodic profile of the lengths accepted from `state`.
-
-    One run of the per-component recurrence over the states reachable from
-    `state`, which reduces only `state` and the entries of the components
-    below it.
-    """
+    """Ultimately periodic profile of the lengths accepted from `state`, by one engine run."""
     if not 0 <= state < dfa.state_count:
         raise ValidationError(f"state {state} out of range")
     return _reachable_profiles(dfa, [state], every=False)[state]

@@ -9,19 +9,22 @@ import pytest
 
 from recset import (
     Dfa,
+    RecognizableSet,
     ValidationError,
     accepts,
     document_from_set,
     dumps_automaton,
+    empty_dfa,
     equivalent,
     example1,
     loads_automaton,
     member,
+    minimize,
     read_automaton,
     set_from_document,
     write_automaton,
 )
-from conftest import finite_set, full_set, multiples_of, powers_of_two, random_recognizable_sets
+from conftest import finite_set, multiples_of, powers_of_two, random_recognizable_sets
 
 
 def test_round_trip_example1(tmp_path):
@@ -35,6 +38,9 @@ def test_round_trip_example1(tmp_path):
 def test_round_trip_preserves_language_on_corpus(tmp_path):
     sets = [multiples_of(3, 2), powers_of_two(), finite_set({0, 7, 9}, 3)]
     sets += random_recognizable_sets(111, 5, require_infinite=False)
+    # a document lists only the transitions it has: a large base, a short document
+    powers = Dfa(1000, 2, 0, {1}, {(0, 1): 1, (1, 0): 1})
+    sets += [RecognizableSet(d) for d in (empty_dfa(1000), minimize(powers))] + [finite_set([5], 1000)]
     for i, s in enumerate(sets):
         path = tmp_path / f"s{i}.aut"
         write_automaton(path, s)
@@ -133,17 +139,6 @@ def test_integer_past_the_digit_limit_is_validation_error():
             loads_automaton('{"base": ' + "9" * 5000 + "}")
     finally:
         sys.set_int_max_str_digits(old)
-
-
-def test_base_wider_than_the_document_rejected():
-    # a row is `base` slots wide: a base past the document's length is refused
-    # before any row is built, while a document that lists a full row loads
-    text = json.dumps({"format_version": 1, "base": 10**19, "state_count": 1, "initial": 0,
-                       "finals": [], "transitions": [], "contains_zero": False})
-    with pytest.raises(ValidationError, match=f"base {10**19} exceeds the document's length "
-                                              f"of {len(text)} characters"):
-        loads_automaton(text)
-    assert loads_automaton(dumps_automaton(full_set(1000))).base == 1000
 
 
 def test_leading_zero_acceptance_strict_vs_lenient():

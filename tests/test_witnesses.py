@@ -434,6 +434,7 @@ def test_verifier_reads_the_witness_state_profile(capsys, tmp_path):
     assert verify_interval_witness(s, w)
     assert not verify_interval_witness(s, IntervalWitness(1, 2, 1, w.state, "empty"))
     assert peak < 2 << 20
+    assert isinstance(syndetic_decide(s), Syndetic)
     path = tmp_path / "fan.aut"
     write_automaton(path, s)
     assert main(["witness-nonempty", str(path)]) == 0
