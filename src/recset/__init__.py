@@ -17,9 +17,7 @@ from .automata import (
     enumerate_elements,
     equivalent,
     example1,
-    has_infinite_language,
     is_empty_language,
-    iter_elements,
     member,
     minimize,
     product,
@@ -36,7 +34,6 @@ from .errors import (
     ValidationError,
 )
 from .fileformat import (
-    FORMAT_VERSION,
     document_from_set,
     dumps_automaton,
     loads_automaton,
@@ -51,7 +48,6 @@ from .lengths import (
 )
 from .numeration import (
     DigitWord,
-    IndependenceVerdict,
     KroneckerWitness,
     decode,
     encode,
@@ -60,14 +56,10 @@ from .numeration import (
     verify_kronecker,
 )
 from .witnesses import (
-    ContradictionCertificate,
     Finite,
-    GapScanResult,
     IntervalWitness,
     NotSyndetic,
     Syndetic,
-    SyndeticCertificate,
-    SyndeticVerdict,
     cross_base_refute,
     empty_interval_witness,
     gap_scan,
@@ -78,63 +70,3 @@ from .witnesses import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ContradictionCertificate",
-    "Dfa",
-    "DigitWord",
-    "FORMAT_VERSION",
-    "Finite",
-    "FiniteSetError",
-    "GapScanResult",
-    "IndependenceVerdict",
-    "InsufficientDataError",
-    "IntervalWitness",
-    "KroneckerWitness",
-    "NotSyndetic",
-    "PreconditionError",
-    "RecognizableSet",
-    "RecsetError",
-    "SearchCapExceededError",
-    "Syndetic",
-    "SyndeticCertificate",
-    "SyndeticVerdict",
-    "UltimatePeriod",
-    "ValidationError",
-    "accepts",
-    "canonical_words_dfa",
-    "cofinite_threshold",
-    "complete",
-    "cross_base_refute",
-    "decode",
-    "document_from_set",
-    "dumps_automaton",
-    "empty_dfa",
-    "empty_interval_witness",
-    "encode",
-    "enumerate_elements",
-    "equivalent",
-    "example1",
-    "gap_scan",
-    "has_infinite_language",
-    "is_empty_language",
-    "iter_elements",
-    "kronecker_witness",
-    "length_profile",
-    "loads_automaton",
-    "member",
-    "minimize",
-    "mult_independent",
-    "nonempty_interval_witness",
-    "product",
-    "read_automaton",
-    "restrict_to_canonical",
-    "right_dense",
-    "set_from_document",
-    "syndetic_decide",
-    "trim",
-    "verify_contradiction",
-    "verify_interval_witness",
-    "verify_kronecker",
-    "write_automaton",
-]

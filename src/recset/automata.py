@@ -7,6 +7,7 @@ transition function is needed.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import cycle, islice
@@ -44,6 +45,8 @@ class Dfa:
             raise ValidationError(f"alphabet size must be >= 2, got {alphabet_size}")
         if state_count < 1:
             raise ValidationError(f"state count must be >= 1, got {state_count}")
+        if max(alphabet_size, state_count) > sys.maxsize:  # no row table is that long
+            raise ValidationError(f"alphabet size and state count must be <= {sys.maxsize}")
         if not 0 <= initial < state_count:
             raise ValidationError(f"initial state {initial} out of range")
         for s in finals:
@@ -304,55 +307,6 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
     """Language equality, decided by emptiness of both set differences."""
     return (is_empty_language(product(d1, d2, "difference"))
             and is_empty_language(product(d2, d1, "difference")))
-
-
-def _components(rows, sources) -> Iterator[list[int]]:
-    """The strongly connected components of the states reachable from `sources`, successors first.
-
-    Tarjan's algorithm on an explicit stack, so no recursion: a component is
-    yielded only after every component it has a transition into.  Once its
-    component is out, a state's index becomes len(rows), above every low link.
-    """
-    n, count = len(rows), 0
-    index, low, stack = [-1] * n, [0] * n, []
-    for root in sources:
-        work = [(root, iter(rows[root]))] if index[root] < 0 else []
-        while work:
-            s, targets = work[-1]
-            if index[s] < 0:
-                index[s] = low[s] = count
-                count += 1
-                stack.append(s)
-            for t in targets:
-                if t < 0:
-                    continue
-                if index[t] < 0:
-                    work.append((t, iter(rows[t])))
-                    break
-                if index[t] < low[s]:
-                    low[s] = index[t]
-            else:
-                work.pop()
-                if work and low[s] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[s]
-                if low[s] == index[s]:
-                    comp = [stack.pop()]
-                    while comp[-1] != s:
-                        comp.append(stack.pop())
-                    for v in comp:
-                        index[v] = n
-                    yield comp
-
-
-def has_infinite_language(dfa: Dfa) -> bool:
-    """True iff the automaton accepts infinitely many words.
-
-    Equivalent to the trimmed automaton containing a cycle: a component of
-    two or more states, or a self-loop.
-    """
-    t = trim(dfa)
-    return any(len(comp) > 1 or comp[0] in t.rows[comp[0]]
-               for comp in _components(t.rows, [t.initial]))
 
 
 def canonical_words_dfa(alphabet_size: int) -> Dfa:

@@ -4,17 +4,19 @@ For a state s, the length set is { |w| : w drives s into a final state }; its
 indicator sequence is ultimately periodic.  One recurrence computes it:
 `_reachable_profiles` runs bit_s(r) = OR over digits d of bit_delta(s,d)(r - 1)
 over the states reachable from some sources, one strongly connected component
-at a time, successors first (`automata._components`), and reduces each profile
-to minimal (preperiod, period) form.  `length_profile`, the syndeticity
-decision, the witness searches and the witness verifier all read it.
+at a time, successors first (`_components`), and reduces each profile to
+minimal (preperiod, period) form.  `length_profile`, the syndeticity decision
+and its finiteness test, the witness searches and the witness verifier all
+read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
-from .automata import Dfa, _components
+from .automata import Dfa
 from .errors import SearchCapExceededError, ValidationError
 
 # The most depths one component's recurrence may run.  Each depth holds a vector
@@ -61,6 +63,44 @@ def _reduced(bits, a: int, period: int) -> UltimatePeriod:
     while pre > 0 and bits[pre - 1] == bits[pre - 1 + period]:
         pre -= 1
     return UltimatePeriod(pre, period, tuple(bits[:pre]), tuple(bits[pre:pre + period]))
+
+
+def _components(rows, sources) -> Iterator[list[int]]:
+    """The strongly connected components of the states reachable from `sources`, successors first.
+
+    Tarjan's algorithm on an explicit stack, so no recursion: a component is
+    yielded only after every component it has a transition into.  Once its
+    component is out, a state's index becomes len(rows), above every low link.
+    """
+    n, count = len(rows), 0
+    index, low, stack = [-1] * n, [0] * n, []
+    for root in sources:
+        work = [(root, iter(rows[root]))] if index[root] < 0 else []
+        while work:
+            s, targets = work[-1]
+            if index[s] < 0:
+                index[s] = low[s] = count
+                count += 1
+                stack.append(s)
+            for t in targets:
+                if t < 0:
+                    continue
+                if index[t] < 0:
+                    work.append((t, iter(rows[t])))
+                    break
+                if index[t] < low[s]:
+                    low[s] = index[t]
+            else:
+                work.pop()
+                if work and low[s] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[s]
+                if low[s] == index[s]:
+                    comp = [stack.pop()]
+                    while comp[-1] != s:
+                        comp.append(stack.pop())
+                    for v in comp:
+                        index[v] = n
+                    yield comp
 
 
 def _component_vectors(dfa: Dfa, comp: list[int], profiles: dict):

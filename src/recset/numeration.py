@@ -129,6 +129,15 @@ def mult_independent(p: int, q: int) -> IndependenceVerdict:
     return IndependenceVerdict(False, (k, ell))
 
 
+def require_independent(p: int, q: int) -> None:
+    """PreconditionError naming p**k == q**l unless the bases are independent."""
+    verdict = mult_independent(p, q)
+    if not verdict.independent:
+        wk, wl = verdict.dependence_witness
+        raise PreconditionError(
+            f"bases {p} and {q} are multiplicatively dependent: {p}^{wk} = {q}^{wl}")
+
+
 @dataclass(frozen=True)
 class KroneckerWitness:
     """Exponent pair (k, l) placing one scaled power interval inside another.
@@ -174,11 +183,7 @@ def kronecker_witness(m: int, n: int, a: int, b: int, c: int, d: int,
             raise PreconditionError(f"{name} must be >= 1, got {value}")
     if not n < m:
         raise PreconditionError(f"need n < m, got n={n}, m={m}")
-    verdict = mult_independent(p, q)
-    if not verdict.independent:
-        wk, wl = verdict.dependence_witness
-        raise PreconditionError(
-            f"bases {p} and {q} are multiplicatively dependent: {p}^{wk} = {q}^{wl}")
+    require_independent(p, q)
 
     log_p, log_q = math.log(p), math.log(q)
     step_q = q**d

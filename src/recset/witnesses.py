@@ -15,14 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .automata import (
-    Dfa,
-    RecognizableSet,
-    _ordered_values,
-    has_infinite_language,
-    iter_elements,
-    member,
-)
+from .automata import Dfa, RecognizableSet, _ordered_values, iter_elements, member
 from .errors import (
     FiniteSetError,
     InsufficientDataError,
@@ -38,6 +31,7 @@ from .numeration import (
     kronecker_witness,
     mult_independent,
     nested_chain,
+    require_independent,
     verify_kronecker,
 )
 
@@ -193,6 +187,19 @@ def _qualifying_profiles(s: RecognizableSet) -> dict[int, UltimatePeriod]:
     return _reachable_profiles(dfa, dfa.rows[dfa.initial][1:])
 
 
+def _is_infinite(profiles: dict[int, UltimatePeriod]) -> bool:
+    """Is the set infinite?  True iff some qualifying state has a 1 among its cycle bits.
+
+    Each length has finitely many words, so an infinite set has elements of
+    infinitely many lengths.  One digit shorter, these lengths are accepted
+    by the targets of the initial state's nonzero digits, which qualify, so
+    one of them accepts infinitely many lengths.  Conversely, the digits that
+    reach a qualifying state with infinitely many accepted lengths extend to
+    elements of infinitely many lengths.
+    """
+    return any(1 in prof.cycle_bits for prof in profiles.values())
+
+
 def _witness(s: RecognizableSet, profiles: dict[int, UltimatePeriod], kind: str,
              m_min: int) -> IntervalWitness | None:
     """Least-m witness of the given kind, exactly re-checked; None if no state qualifies.
@@ -219,13 +226,15 @@ def nonempty_interval_witness(s: RecognizableSet, m_min: int = 1) -> IntervalWit
     m is the smallest integer >= m_min whose digit path ends in a state with
     infinitely many accepted lengths; a is the least accepted length past that
     state's preperiod and b its period.  The witness is re-verified exactly,
-    for every k, before being returned.
+    for every k, before being returned.  Such a state exists exactly when the
+    set is infinite, which is read off the same qualifying profiles.
     """
     if m_min < 1:
         raise PreconditionError(f"m_min must be >= 1, got {m_min}")
-    if not has_infinite_language(s.dfa):
+    w = _witness(s, _qualifying_profiles(s), "nonempty", m_min)
+    if w is None:
         raise FiniteSetError("the set is finite: no nonempty interval family exists")
-    return _witness(s, _qualifying_profiles(s), "nonempty", m_min)
+    return w
 
 
 def empty_interval_witness(s: RecognizableSet) -> IntervalWitness | None:
@@ -234,18 +243,20 @@ def empty_interval_witness(s: RecognizableSet) -> IntervalWitness | None:
     Exists iff some qualifying state of the set's normal form misses
     infinitely many lengths; returns None when every qualifying state's length
     set is cofinite (then no such family exists).  The witness is re-verified
-    exactly, for every k, before being returned.
+    exactly, for every k, before being returned.  A finite set, read off the
+    same qualifying profiles, raises FiniteSetError.
     """
-    if not has_infinite_language(s.dfa):
+    profiles = _qualifying_profiles(s)
+    if not _is_infinite(profiles):
         raise FiniteSetError("the set is finite: use a direct scan instead")
-    return _witness(s, _qualifying_profiles(s), "empty", 1)
+    return _witness(s, profiles, "empty", 1)
 
 
 def syndetic_decide(s: RecognizableSet) -> SyndeticVerdict:
     """Decide whether the set has bounded gaps between consecutive elements.
 
-    Finite sets get the Finite verdict.  Otherwise every qualifying state of
-    the set's normal form is profiled:
+    Every qualifying state of the set's normal form is profiled.  No cycle
+    bit 1 among them means a finite set, the Finite verdict.  Otherwise:
 
     - some state misses infinitely many lengths -> NotSyndetic, with an empty
       interval family whose interval lengths grow without bound (the set is
@@ -255,9 +266,9 @@ def syndetic_decide(s: RecognizableSet) -> SyndeticVerdict:
       per-state threshold: every positive n then has an element of the set in
       [n*p**C, (n+1)*p**C), so any interval of length 2*p**C meets the set.
     """
-    if not has_infinite_language(s.dfa):
-        return Finite()
     profiles = _qualifying_profiles(s)
+    if not _is_infinite(profiles):
+        return Finite()
     w = _witness(s, profiles, "empty", 1)
     if w is not None:
         return NotSyndetic(w)
@@ -305,20 +316,18 @@ def cross_base_refute(set_p: RecognizableSet, set_q: RecognizableSet, *,
 
     Returns None when the second automaton has no empty interval family;
     that is NOT a proof that the sets are equal, only that no refutation of
-    this shape exists.
+    this shape exists.  Both sets are profiled before any search, and a
+    finite one, read off its qualifying profiles, raises FiniteSetError.
     """
     p, q = set_p.base, set_q.base
-    verdict = mult_independent(p, q)
-    if not verdict.independent:
-        wk, wl = verdict.dependence_witness
-        raise PreconditionError(
-            f"bases {p} and {q} are multiplicatively dependent: {p}^{wk} = {q}^{wl}")
-    if not has_infinite_language(set_p.dfa) or not has_infinite_language(set_q.dfa):
+    require_independent(p, q)
+    profiles_p, profiles_q = _qualifying_profiles(set_p), _qualifying_profiles(set_q)
+    if not _is_infinite(profiles_p) or not _is_infinite(profiles_q):
         raise FiniteSetError("both sets must be infinite")
-    ew = _witness(set_q, _qualifying_profiles(set_q), "empty", 1)
+    ew = _witness(set_q, profiles_q, "empty", 1)
     if ew is None:
         return None
-    nw = _witness(set_p, _qualifying_profiles(set_p), "nonempty", ew.m + 1)
+    nw = _witness(set_p, profiles_p, "nonempty", ew.m + 1)
     kw = kronecker_witness(nw.m, ew.m, nw.a, nw.b, ew.a, ew.b, p, q, cap=cap)
     nf = set_p.normal_form
     # the least element >= m*p**depth with as many digits, depth = a + b*K

@@ -13,7 +13,6 @@ from recset import (
     complete,
     encode,
     example1,
-    has_infinite_language,
     member,
     restrict_to_canonical,
     trim,
@@ -148,7 +147,7 @@ def random_recognizable_sets(seed: int, count: int, bases=(2, 3),
     out: list[RecognizableSet] = []
     while len(out) < count:
         dfa = restrict_to_canonical(random_dfa(rng, max_states, rng.choice(bases)))
-        if require_infinite and not has_infinite_language(dfa):
+        if require_infinite and not is_infinite_language(dfa):
             continue
         out.append(RecognizableSet(dfa, contains_zero=rng.random() < 0.5))
     return out
@@ -193,6 +192,22 @@ def subset_step(dfa: Dfa, states) -> frozenset[int]:
     Undefined transitions contribute nothing; the empty subset is absorbing.
     """
     return frozenset(t for s in states for t in dfa.rows[s] if t >= 0)
+
+
+def is_infinite_language(dfa: Dfa) -> bool:
+    """Brute-force finiteness test: is some word of a length in [n, 2n) accepted?
+
+    n is the state count.  An accepted word of n or more digits repeats a
+    state, so it pumps to infinitely many; and cutting a repeat of at most n
+    steps out of a shortest accepted word of 2n or more digits leaves one of
+    n or more, so the shortest such word is shorter than 2n.
+    """
+    n, subset = dfa.state_count, frozenset({dfa.initial})
+    for length in range(2 * n):
+        if length >= n and subset & dfa.finals:
+            return True
+        subset = subset_step(dfa, subset)
+    return False
 
 
 def walk_profile(dfa: Dfa, state: int) -> UltimatePeriod:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from recset import (
     Dfa,
+    Finite,
     RecognizableSet,
     ValidationError,
     accepts,
@@ -21,7 +22,6 @@ from recset import (
     enumerate_elements,
     equivalent,
     example1,
-    has_infinite_language,
     is_empty_language,
     member,
     minimize,
@@ -29,14 +29,17 @@ from recset import (
     restrict_to_canonical,
     right_dense,
     set_from_document,
+    syndetic_decide,
     trim,
 )
-from recset.automata import _components, _reachable
+from recset.automata import _reachable
+from recset.lengths import _components
 from conftest import (
     chain,
     example1_oracle,
     finite_set,
     full_set,
+    is_infinite_language,
     moore_minimize,
     multiples_of,
     powers_of_two,
@@ -379,10 +382,10 @@ def test_canonical_word_invariant_on_corpus(corpus):
             assert not accepts(s.dfa, w)
 
 
-def test_has_infinite_language():
-    assert has_infinite_language(example1().dfa)
-    assert not has_infinite_language(finite_set({1, 2, 3}, 2).dfa)
-    assert not has_infinite_language(empty_dfa(2))
+def test_finite_verdicts_on_small_sets():
+    assert not isinstance(syndetic_decide(example1()), Finite)
+    assert isinstance(syndetic_decide(finite_set({1, 2, 3}, 2)), Finite)
+    assert isinstance(syndetic_decide(RecognizableSet(empty_dfa(2))), Finite)
 
 
 @st.composite
@@ -409,13 +412,10 @@ def _cyclic_dfas(draw) -> Dfa:
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_cyclic_dfas())
 def test_cycle_check_and_components_against_oracles(dfa):
-    # a language is infinite iff it holds a word of some length in [n, 2n)
-    n = dfa.state_count
-    subset, infinite = {dfa.initial}, False
-    for length in range(2 * n):
-        infinite |= length >= n and bool(subset & dfa.finals)
-        subset = {t for s in subset for t in dfa.rows[s] if t >= 0}
-    assert has_infinite_language(dfa) == infinite
+    # the decision reads finiteness off the qualifying profiles of the set
+    canonical = restrict_to_canonical(dfa)
+    verdict = syndetic_decide(RecognizableSet(canonical))
+    assert isinstance(verdict, Finite) != is_infinite_language(canonical)
     # the components partition the reachable states, successors first
     comps = list(_components(dfa.rows, [dfa.initial]))
     reach = _reachable(dfa)

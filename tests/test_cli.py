@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -281,10 +282,22 @@ def test_cost_follows_reachable_states_not_declared_ones(capsys, tmp_path, argv)
     assert peak < 40 << 20
 
 
+TOO_LONG = f"error: alphabet size and state count must be <= {sys.maxsize}\n"
+
+
+def _one_state_document(base: int, state_count: int) -> bytes:
+    return json.dumps({"format_version": 1, "base": base, "state_count": state_count,
+                       "initial": 0, "finals": [], "transitions": [],
+                       "contains_zero": False}).encode()
+
+
 @pytest.mark.parametrize("content, message", [
     (b"\xff\xfe{}", "error: cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
     (b"[" * 200_000 + b"]" * 200_000, "error: parse error: the document nests too deeply\n"),
-], ids=["not-utf-8", "deep-nesting"])
+    # no row table can be indexed that far: these exited 4 with an OverflowError
+    (_one_state_document(10**19, 1), TOO_LONG),
+    (_one_state_document(2, 10**19), TOO_LONG),
+], ids=["not-utf-8", "deep-nesting", "base-past-maxsize", "state-count-past-maxsize"])
 def test_malformed_documents_exit_2(capsys, tmp_path, content, message):
     path = tmp_path / "bad.aut"
     path.write_bytes(content)

@@ -25,7 +25,6 @@ from recset import (
     enumerate_elements,
     example1,
     gap_scan,
-    has_infinite_language,
     length_profile,
     member,
     minimize,
@@ -42,6 +41,7 @@ from conftest import (
     fan_out_cycles,
     finite_set,
     full_set,
+    is_infinite_language,
     multiples_of,
     powers_of_two,
     prime_cycles,
@@ -261,7 +261,7 @@ def test_enumeration_and_witness_m_match_brute_force(s, m_min):
     got = enumerate_elements(s, len(expected) + 1)
     assert got[:len(expected)] == expected
     assert all(x > bound for x in got[len(expected):])
-    if has_infinite_language(s.dfa):
+    if is_infinite_language(s.dfa):
         # m_min's digits bound the first length searched, so this exercises backtracking
         assert nonempty_interval_witness(s, m_min).m == _brute_first_m(s, m_min, _infinite)
         w = empty_interval_witness(s)
@@ -350,14 +350,18 @@ def _record_calls(monkeypatch, function: str, owner: str = "automata") -> list:
     return inputs
 
 
-@pytest.mark.parametrize("call", [
+# the four decisions, each called on a known-different pair
+ENTRY_POINTS = pytest.mark.parametrize("call", [
     lambda p, q: cross_base_refute(p, q),
     lambda p, q: syndetic_decide(q),
     lambda p, q: nonempty_interval_witness(p, 1),
     lambda p, q: empty_interval_witness(q),
 ], ids=["refute", "syndetic", "nonempty", "empty"])
+
+
+@ENTRY_POINTS
 def test_minimize_runs_at_most_once_per_set(monkeypatch, call):
-    set_p, set_q = full_set(3), example1()  # a known-different pair
+    set_p, set_q = full_set(3), example1()
     inputs = _record_calls(monkeypatch, "minimize")
     assert call(set_p, set_q) is not None
     assert inputs
@@ -366,13 +370,28 @@ def test_minimize_runs_at_most_once_per_set(monkeypatch, call):
     assert sum(d is set_q.dfa for d in inputs) <= 1
 
 
-def test_refute_checks_each_set_for_infiniteness_once(monkeypatch):
+@ENTRY_POINTS
+def test_trim_runs_at_most_once_per_set(monkeypatch, call):
+    # finiteness is read off the normal form's profiles, so only `minimize` trims the input
     set_p, set_q = full_set(3), example1()
-    inputs = _record_calls(monkeypatch, "has_infinite_language")
-    assert cross_base_refute(set_p, set_q) is not None
-    assert inputs
+    inputs = _record_calls(monkeypatch, "trim")
+    assert call(set_p, set_q) is not None
     assert sum(d is set_p.dfa for d in inputs) <= 1
     assert sum(d is set_q.dfa for d in inputs) <= 1
+    assert any(d is set_p.dfa or d is set_q.dfa for d in inputs)
+
+
+@pytest.mark.parametrize("s", [
+    finite_set((), 3),
+    finite_set({0}, 3),
+    finite_set({7}, 3),
+], ids=["empty", "zero", "seven"])
+def test_finite_sets_read_off_the_profiles(s):
+    assert syndetic_decide(s) == Finite()
+    with pytest.raises(FiniteSetError, match="^the set is finite: no nonempty interval family exists$"):
+        nonempty_interval_witness(s)
+    with pytest.raises(FiniteSetError, match="^the set is finite: use a direct scan instead$"):
+        empty_interval_witness(s)
 
 
 def test_qualifying_profiles_take_no_single_state_walk(monkeypatch):
@@ -588,8 +607,13 @@ def test_refute_rejects_dependent_bases():
 
 
 def test_refute_rejects_finite_inputs():
-    with pytest.raises(FiniteSetError):
+    with pytest.raises(FiniteSetError, match="^both sets must be infinite$"):
         cross_base_refute(finite_set({1, 2}, 3), example1())
+    # the second set has no empty family, but the first is still checked
+    with pytest.raises(FiniteSetError, match="^both sets must be infinite$"):
+        cross_base_refute(finite_set({1, 2}, 3), full_set(2))
+    with pytest.raises(FiniteSetError, match="^both sets must be infinite$"):
+        cross_base_refute(full_set(3), finite_set({1, 2}, 2))
 
 
 def test_refute_certificate_tampering_detected():
