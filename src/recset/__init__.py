@@ -11,13 +11,10 @@ from .automata import (
     Dfa,
     RecognizableSet,
     accepts,
-    canonical_words_dfa,
     complete,
-    empty_dfa,
     enumerate_elements,
     equivalent,
     example1,
-    is_empty_language,
     member,
     minimize,
     product,

@@ -25,7 +25,6 @@ from .errors import PreconditionError, RecsetError, SearchCapExceededError, Vali
 from .fileformat import dumps_automaton, read_automaton, write_automaton
 from .lengths import cofinite_threshold, length_profile
 from .numeration import (
-    DEFAULT_KRONECKER_CAP,
     decode,
     encode,
     kronecker_witness,
@@ -167,8 +166,7 @@ def _cmd_syndetic(args) -> int:
 
 
 def _cmd_kronecker(args) -> int:
-    w = kronecker_witness(args.m, args.n, args.a, args.b, args.c, args.d,
-                          args.p, args.q, cap=args.cap)
+    w = kronecker_witness(args.m, args.n, args.a, args.b, args.c, args.d, args.p, args.q)
     lo_q, lo_p, hi_p, hi_q = nested_chain(w, args.m, args.n, args.a, args.b,
                                           args.c, args.d, args.p, args.q)
     print(f"k: {w.k}")
@@ -199,7 +197,7 @@ def _cmd_gaps(args) -> int:
 def _cmd_refute(args) -> int:
     set_p = read_automaton(args.file_p, strict=not args.lenient)
     set_q = read_automaton(args.file_q, strict=not args.lenient)
-    cert = cross_base_refute(set_p, set_q, cap=args.cap)
+    cert = cross_base_refute(set_p, set_q)
     if cert is None:
         print("absent: the second automaton has no empty interval family; "
               "no refutation of this shape exists (the sets may or may not be equal)")
@@ -228,16 +226,6 @@ def _add_io_flags(sub, out: bool = False) -> None:
     if out:
         sub.add_argument("--out", metavar="PATH", default=None,
                          help="write the automaton document here instead of stdout")
-
-
-def _cap(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
 
 
 @functools.cache
@@ -312,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("kronecker", help="exponent pair nesting scaled power intervals")
     for name in ("m", "n", "a", "b", "c", "d", "p", "q"):
         sub.add_argument(name, type=int)
-    sub.add_argument("--cap", type=_cap, default=DEFAULT_KRONECKER_CAP,
-                     help="largest l to try (default 10000)")
     sub.set_defaults(func=_cmd_kronecker)
 
     sub = subs.add_parser("indep", help="are two bases multiplicatively independent?")
@@ -331,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("file_p")
     sub.add_argument("file_q")
     _add_io_flags(sub)
-    sub.add_argument("--cap", type=_cap, default=DEFAULT_KRONECKER_CAP,
-                     help="largest l the Kronecker search tries (default 10000)")
     sub.set_defaults(func=_cmd_refute)
 
     sub = subs.add_parser("example1", help="write the built-in right-dense-but-gappy set")

@@ -24,7 +24,8 @@ class InsufficientDataError(PreconditionError):
 class SearchCapExceededError(RecsetError):
     """A bounded search hit its safety cap before finding an answer.
 
-    The cap exists as an engineering safety valve; it carries the cap value so
+    Each cap is a fixed constant, `lengths.DEFAULT_SUBSET_CAP` or
+    `numeration.DEFAULT_KRONECKER_CAP`; the error carries its value so
     callers can distinguish "not found yet" from "does not exist".
     """
 

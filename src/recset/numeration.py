@@ -84,46 +84,30 @@ class IndependenceVerdict:
     dependence_witness: tuple[int, int] | None = None
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (bases are machine-word sized)."""
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
-def _primitive_root(n: int) -> tuple[int, int]:
-    """Smallest r >= 2 and largest e with n == r**e."""
-    factors = _factorize(n)
-    g = 0
-    for e in factors.values():
-        g = math.gcd(g, e)
-    root = 1
-    for prime, e in factors.items():
-        root *= prime ** (e // g)
-    return root, g
-
-
 def mult_independent(p: int, q: int) -> IndependenceVerdict:
-    """Decide whether no positive k, l satisfy p**k == q**l.
+    """Decide whether no positive k, l satisfy p**k == q**l, by Euclid on the bases.
 
-    p and q are dependent exactly when they are integer powers of a common
-    integer r >= 2, i.e. when their prime-exponent vectors are proportional.
+    Keep x = p**e1 * q**f1 and y = p**e2 * q**f2 with their exponent pairs,
+    from x = p and y = q, and replace the larger by its quotient by the
+    smaller until x == y.  Dependent bases are powers of one r >= 2, and then
+    so is every x and y, so the smaller divides the larger: when it does not,
+    the bases are independent.  When x == y, p**(e1-e2) == q**(f2-f1), so the
+    two differences share a sign, and their absolute values are the least
+    witness (k, l): each step keeps the 2x2 exponent matrix at determinant
+    +-1, so the difference is primitive, and the witnesses are the multiples
+    of one primitive pair.  x * y at least halves per step, so the cost grows
+    with the bit lengths of p and q.
     """
     if p < 2 or q < 2:
         raise ValidationError(f"bases must be >= 2, got {p} and {q}")
-    root_p, exp_p = _primitive_root(p)
-    root_q, exp_q = _primitive_root(q)
-    if root_p != root_q:
-        return IndependenceVerdict(True)
-    g = math.gcd(exp_p, exp_q)
-    k, ell = exp_q // g, exp_p // g
+    (x, e1, f1), (y, e2, f2) = (p, 1, 0), (q, 0, 1)
+    while x != y:
+        if x < y:
+            (x, e1, f1), (y, e2, f2) = (y, e2, f2), (x, e1, f1)
+        if x % y:
+            return IndependenceVerdict(True)
+        x, e1, f1 = x // y, e1 - e2, f1 - f2
+    k, ell = abs(e1 - e2), abs(f1 - f2)
     if p**k != q**ell:
         raise RecsetError(f"internal: dependence witness {p}^{k} = {q}^{ell} does not hold")
     return IndependenceVerdict(False, (k, ell))
@@ -169,14 +153,15 @@ def verify_kronecker(w: KroneckerWitness, m: int, n: int, a: int, b: int,
 
 
 def kronecker_witness(m: int, n: int, a: int, b: int, c: int, d: int,
-                      p: int, q: int, *, cap: int = DEFAULT_KRONECKER_CAP) -> KroneckerWitness:
+                      p: int, q: int) -> KroneckerWitness:
     """Smallest (by l, then k) exponent pair nesting the intervals.
 
     Enumerates l = 1, 2, ... and brackets the candidate k range with real
     logarithms, then confirms candidates in exact integer arithmetic; the
     floats only narrow the search and never decide.  Termination is
-    guaranteed for multiplicatively independent bases; `cap` bounds l as a
-    safety valve only.
+    guaranteed for multiplicatively independent bases; the fixed constant
+    DEFAULT_KRONECKER_CAP bounds l as a safety valve only, and a search
+    past it raises SearchCapExceededError.
     """
     for name, value in (("m", m), ("n", n), ("a", a), ("b", b), ("c", c), ("d", d)):
         if value < 1:
@@ -188,7 +173,7 @@ def kronecker_witness(m: int, n: int, a: int, b: int, c: int, d: int,
     log_p, log_q = math.log(p), math.log(q)
     step_q = q**d
     big_q = q**c
-    for ell in range(1, cap + 1):
+    for ell in range(1, DEFAULT_KRONECKER_CAP + 1):
         big_q *= step_q
         # k must satisfy n*big_q <= m*p^(a+bk) and (m+1)*p^(a+bk) <= (n+1)*big_q
         t = (c + d * ell) * log_q
@@ -201,4 +186,5 @@ def kronecker_witness(m: int, n: int, a: int, b: int, c: int, d: int,
             big_p = p ** (a + b * k)
             if n_q <= m * big_p and (m + 1) * big_p <= n1_q:
                 return KroneckerWitness(k, ell)
-    raise SearchCapExceededError(f"no exponent pair found with l <= {cap}", cap=cap)
+    raise SearchCapExceededError(f"no exponent pair found with l <= {DEFAULT_KRONECKER_CAP}",
+                                 cap=DEFAULT_KRONECKER_CAP)

@@ -21,11 +21,11 @@ from .errors import (
     InsufficientDataError,
     PreconditionError,
     RecsetError,
+    SearchCapExceededError,
     ValidationError,
 )
 from .lengths import UltimatePeriod, _reachable_profiles, cofinite_threshold, length_profile
 from .numeration import (
-    DEFAULT_KRONECKER_CAP,
     KroneckerWitness,
     encode,
     kronecker_witness,
@@ -303,8 +303,8 @@ def gap_scan(s: RecognizableSet, horizon: int) -> GapScanResult:
     return GapScanResult(best, tuple(positions))
 
 
-def cross_base_refute(set_p: RecognizableSet, set_q: RecognizableSet, *,
-                      cap: int = DEFAULT_KRONECKER_CAP) -> ContradictionCertificate | None:
+def cross_base_refute(set_p: RecognizableSet,
+                      set_q: RecognizableSet) -> ContradictionCertificate | None:
     """Nested-interval proof that two automata recognize different sets, if one exists this way.
 
     The second set must admit an empty interval family (n, c, d); the first,
@@ -318,17 +318,33 @@ def cross_base_refute(set_p: RecognizableSet, set_q: RecognizableSet, *,
     that is NOT a proof that the sets are equal, only that no refutation of
     this shape exists.  Both sets are profiled before any search, and a
     finite one, read off its qualifying profiles, raises FiniteSetError.
+    A set whose recurrence passes `lengths.DEFAULT_SUBSET_CAP` raises
+    SearchCapExceededError only after that check and the empty-family search,
+    if its profiles are still needed.  The cap hides no finite set below
+    2**20 normal-form states: its qualifying components are the sink and
+    single states without a loop, whose recurrences have lcm 1 and stop
+    within the state count.
     """
     p, q = set_p.base, set_q.base
     require_independent(p, q)
-    profiles_p, profiles_q = _qualifying_profiles(set_p), _qualifying_profiles(set_q)
-    if not _is_infinite(profiles_p) or not _is_infinite(profiles_q):
+    profiles = []
+    for s in (set_p, set_q):
+        try:
+            profiles.append(_qualifying_profiles(s))
+        except SearchCapExceededError as error:
+            profiles.append(error)
+    if any(isinstance(prof, dict) and not _is_infinite(prof) for prof in profiles):
         raise FiniteSetError("both sets must be infinite")
+    profiles_p, profiles_q = profiles
+    if isinstance(profiles_q, SearchCapExceededError):
+        raise profiles_q
     ew = _witness(set_q, profiles_q, "empty", 1)
     if ew is None:
         return None
+    if isinstance(profiles_p, SearchCapExceededError):
+        raise profiles_p
     nw = _witness(set_p, profiles_p, "nonempty", ew.m + 1)
-    kw = kronecker_witness(nw.m, ew.m, nw.a, nw.b, ew.a, ew.b, p, q, cap=cap)
+    kw = kronecker_witness(nw.m, ew.m, nw.a, nw.b, ew.a, ew.b, p, q)
     nf = set_p.normal_form
     # the least element >= m*p**depth with as many digits, depth = a + b*K
     bound = encode(nw.m, p).digits + (0,) * (nw.a + nw.b * kw.k)

@@ -14,15 +14,12 @@ from recset import (
     RecognizableSet,
     ValidationError,
     accepts,
-    canonical_words_dfa,
     complete,
     document_from_set,
-    empty_dfa,
     encode,
     enumerate_elements,
     equivalent,
     example1,
-    is_empty_language,
     member,
     minimize,
     product,
@@ -32,7 +29,7 @@ from recset import (
     syndetic_decide,
     trim,
 )
-from recset.automata import _reachable
+from recset.automata import _reachable, canonical_words_dfa, empty_dfa, is_empty_language
 from recset.lengths import _components
 from conftest import (
     chain,

@@ -132,9 +132,10 @@ def test_kronecker_error_exit_codes(capsys):
     code, _, err = run(capsys, "kronecker", "2", "1", "1", "1", "1", "1", "2", "8")
     assert code == 2
     assert err.startswith("error: ")
-    code, _, err = run(capsys, "kronecker", "2", "1", "1", "1", "1", "1", "2", "3", "--cap", "1")
-    assert code == 3
-    assert err.startswith("error: ")
+    # no l <= 10 000 nests these intervals: the search stops at its fixed cap
+    code, out, err = run(capsys, "kronecker", "1001", "1000", "1", "1", "1", "1", "2", "3")
+    assert (code, out) == (3, "")
+    assert err == "error: no exponent pair found with l <= 10000\n"
 
 
 def test_profile_recurrences_past_the_cap_exit_3(capsys, files, tmp_path):
@@ -306,19 +307,24 @@ def test_malformed_documents_exit_2(capsys, tmp_path, content, message):
     assert err.startswith(message.format(path=path)) and err.count("\n") == 1
 
 
-def test_negative_caps_are_usage_errors(capsys, files):
-    kronecker = ["kronecker", "2", "1", "1", "1", "1", "1", "2", "3"]
-    for argv in (["refute", files["nat3"], files["example1"]], kronecker):
-        code, out, err = run(capsys, *argv, "--cap", "-1")
-        assert (code, out) == (2, "")
-        assert "argument --cap: must be >= 0, got -1" in err
-    assert run(capsys, *kronecker, "--cap", "0")[0] == 3  # the least l is 2
-    assert "invalid int value: 'x'" in run(capsys, *kronecker, "--cap", "x")[2]
-    # the witness searches are exact: they take no cap
-    for command in ("witness-nonempty", "witness-empty", "syndetic"):
-        code, out, err = run(capsys, command, files["example1"], "--cap", "10")
+def test_no_subcommand_takes_a_cap(capsys, files):
+    # the witness searches are exact and the Kronecker cap is a fixed constant
+    for argv in (["witness-nonempty", files["example1"]], ["witness-empty", files["example1"]],
+                 ["syndetic", files["example1"]], ["refute", files["nat3"], files["example1"]],
+                 ["kronecker", "2", "1", "1", "1", "1", "1", "2", "3"]):
+        code, out, err = run(capsys, *argv, "--cap", "10")
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --cap 10" in err
+
+
+def test_refute_answers_past_a_profile_cap_as_the_shape_requires(capsys, files, tmp_path):
+    fan, fin = str(tmp_path / "fan.aut"), str(tmp_path / "fin.aut")
+    write_automaton(fan, prime_cycles(primes=(2, 3, 5, 7, 11, 13, 17, 19), fan_out=True))
+    write_automaton(fin, finite_set({1, 2}, 3))
+    code, out, err = run(capsys, "refute", fan, files["nat3"])
+    assert (code, err) == (1, "") and out.startswith("absent: ")
+    for argv in (["refute", fan, fin], ["refute", fin, fan]):
+        assert run(capsys, *argv) == (2, "", "error: both sets must be infinite\n")
 
 
 def test_cached_parser_answers_as_a_fresh_one(capsys, files, monkeypatch):

@@ -14,7 +14,6 @@ from recset import (
     accepts,
     document_from_set,
     dumps_automaton,
-    empty_dfa,
     equivalent,
     example1,
     loads_automaton,
@@ -24,6 +23,7 @@ from recset import (
     set_from_document,
     write_automaton,
 )
+from recset.automata import empty_dfa
 from conftest import finite_set, multiples_of, powers_of_two, random_recognizable_sets
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from recset import (
     mult_independent,
     verify_kronecker,
 )
+from recset.numeration import IndependenceVerdict
 
 
 def test_encode_basics():
@@ -103,6 +105,27 @@ def test_independence_of_non_powers():
     assert mult_independent(12, 18).independent
 
 
+def test_independence_against_brute_force_powers():
+    # for p, q <= 200 a dependence has p = r**i and q = r**j with i, j <= 7,
+    # so its least witness (j/g, i/g) has both exponents <= 8
+    for p in range(2, 201):
+        for q in range(2, 201):
+            verdict = mult_independent(p, q)
+            dependent = any(p**k == q**ell for k in range(1, 9) for ell in range(1, 9))
+            assert verdict.independent is not dependent
+            if dependent:
+                k, ell = verdict.dependence_witness
+                assert math.gcd(k, ell) == 1 and p**k == q**ell
+
+
+def test_independence_of_large_bases_costs_their_bit_length():
+    # 2**61 - 1 is prime: trial division would run to its square root
+    mersenne = 2**61 - 1
+    assert mult_independent(mersenne**2, mersenne**3).dependence_witness == (3, 2)
+    assert mult_independent(mersenne, 3) == IndependenceVerdict(True)
+    assert mult_independent(10**40 + 121, 10**40 + 121).dependence_witness == (1, 1)
+
+
 def test_independence_symmetry_and_witnesses():
     rng = random.Random(11)
     for _ in range(200):
@@ -184,5 +207,5 @@ def test_kronecker_rejects_bad_parameters():
 
 def test_kronecker_cap_error_carries_cap():
     with pytest.raises(SearchCapExceededError) as err:
-        kronecker_witness(2, 1, 1, 1, 1, 1, 2, 3, cap=1)  # minimal l is 2
-    assert err.value.cap == 1
+        kronecker_witness(1001, 1000, 1, 1, 1, 1, 2, 3)  # no l <= 10 000 works
+    assert err.value.cap == 10_000

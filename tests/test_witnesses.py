@@ -616,6 +616,23 @@ def test_refute_rejects_finite_inputs():
         cross_base_refute(full_set(3), finite_set({1, 2}, 2))
 
 
+def test_refute_defers_a_profile_cap_until_the_profiles_are_needed():
+    # the fan-out set's recurrence passes the subset cap, so its profiles raise
+    fan = prime_cycles(primes=(2, 3, 5, 7, 11, 13, 17, 19), fan_out=True)
+    # the second set has no empty family, so the first set's profiles are never read
+    assert cross_base_refute(fan, full_set(3)) is None
+    # a finite set is found whichever side it is on
+    with pytest.raises(FiniteSetError, match="^both sets must be infinite$"):
+        cross_base_refute(fan, finite_set({1, 2}, 3))
+    with pytest.raises(FiniteSetError, match="^both sets must be infinite$"):
+        cross_base_refute(finite_set({1, 2}, 3), fan)
+    # when the profiles are needed, the cap error still surfaces
+    with pytest.raises(SearchCapExceededError):
+        cross_base_refute(fan, example1())
+    with pytest.raises(SearchCapExceededError):
+        cross_base_refute(full_set(3), fan)
+
+
 def test_refute_certificate_tampering_detected():
     from dataclasses import replace
     nat3 = full_set(3)
