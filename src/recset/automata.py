@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import cycle, islice
 from typing import Iterator
 
-from .errors import RecsetError, ValidationError
+from .errors import ValidationError
 from .numeration import DigitWord, encode
 
 
@@ -121,26 +121,30 @@ def accepts(dfa: Dfa, word) -> bool:
     return end is not None and end in dfa.finals
 
 
-def _reachable(dfa: Dfa, sources=None) -> set[int]:
-    """States reachable from `sources` (default: the initial state), sources included."""
-    seen = {dfa.initial} if sources is None else set(sources)
-    stack = list(seen)
-    while stack:
-        for t in dfa.rows[stack.pop()]:
+def _reachable(dfa: Dfa, sources=None) -> list[int]:
+    """The states reachable from `sources` (default: the initial state), sources included.
+
+    The one forward walk: breadth-first, digits ascending, so from the
+    initial state the order is the canonical layout.
+    """
+    queue = [dfa.initial] if sources is None else list(dict.fromkeys(sources))
+    seen = set(queue)
+    for s in queue:
+        for t in dfa.rows[s]:
             if t >= 0 and t not in seen:
                 seen.add(t)
-                stack.append(t)
-    return seen
+                queue.append(t)
+    return queue
 
 
-def _coaccessible(dfa: Dfa, reach: set[int]) -> set[int]:
-    """The states of `reach`, a set closed under transitions, that can reach a final state."""
+def _coaccessible(dfa: Dfa, reach: list[int]) -> set[int]:
+    """The states of `reach`, closed under transitions, that can reach a final state."""
     preds: dict[int, list[int]] = {s: [] for s in reach}
     for s in reach:
         for t in dfa.rows[s]:
             if t >= 0:
                 preds[t].append(s)
-    seen = reach & dfa.finals
+    seen = set(dfa.finals.intersection(reach))
     stack = list(seen)
     while stack:
         for r in preds[stack.pop()]:
@@ -152,7 +156,7 @@ def _coaccessible(dfa: Dfa, reach: set[int]) -> set[int]:
 
 def is_empty_language(dfa: Dfa) -> bool:
     """True iff the automaton accepts no word at all."""
-    return not (_reachable(dfa) & dfa.finals)
+    return dfa.finals.isdisjoint(_reachable(dfa))
 
 
 def _renumbered(dfa: Dfa, order: list[int]) -> Dfa:
@@ -191,43 +195,26 @@ def complete(dfa: Dfa) -> Dfa:
     return Dfa._from_rows(p, dfa.initial, dfa.finals, rows)
 
 
-def _bfs_renumber(dfa: Dfa) -> Dfa:
-    """Renumber states breadth-first from the initial state, digits ascending.
-
-    Assumes every state is reachable (true after trim); the result is the
-    canonical layout, so language-equal minimal automata become structurally
-    identical.
-    """
-    order = {dfa.initial: 0}
-    queue = [dfa.initial]
-    for s in queue:
-        for t in dfa.rows[s]:
-            if t >= 0 and t not in order:
-                order[t] = len(order)
-                queue.append(t)
-    if len(queue) != dfa.state_count:
-        raise RecsetError("internal: renumbering requires a fully reachable automaton")
-    return _renumbered(dfa, queue)
-
-
 def minimize(dfa: Dfa) -> Dfa:
     """Canonical minimal trimmed automaton of the language.
 
-    Hopcroft's partition refinement runs on the completed automaton, the dead
-    class is trimmed away again, and states are renumbered breadth-first.
-    Refinement starts from {finals, non-finals} and a worklist of (block,
-    digit) splitters; the states with a digit-d step into the splitter block
-    cut every block they partly cover.  The smaller half of a cut block gets
-    the new block number and goes on the worklist for every digit: if the old
-    block was pending it still is, and either half serves as splitter once the
-    other has been used, so each state is in a splitter at most log2(n) times
-    per digit, O(n*p*log n) in all.  Because the result is canonical, two
-    automata recognize the same language iff their minimized forms are equal.
+    Hopcroft's partition refinement runs on the completed reachable part.
+    It starts from {finals, non-finals} and a worklist of (block, digit)
+    splitters; the states with a digit-d step into the splitter block cut
+    every block they partly cover.  The smaller half of a cut block gets the
+    new block number and goes on the worklist for every digit: if the old
+    block was pending it still is, and either half serves as splitter once
+    the other has been used, so each state is in a splitter at most log2(n)
+    times per digit, O(n*p*log n) in all.  The states of empty language end
+    in one dead class, the non-final block whose digits all lead back to it;
+    it is dropped and the rest laid out by `_reachable`.  Because the result
+    is canonical, two automata recognize the same language iff their
+    minimized forms are equal.
     """
-    trimmed = trim(dfa)
-    if not trimmed.finals:
-        return trimmed  # canonical empty automaton
-    c = complete(trimmed)
+    reach = _reachable(dfa)
+    if dfa.finals.isdisjoint(reach):
+        return empty_dfa(dfa.alphabet_size)
+    c = complete(_renumbered(dfa, reach))
     p, n = c.alphabet_size, c.state_count
     preds: list[list[int]] = [[] for _ in range(p * n)]  # preds[d*n + t]: s with s -d-> t
     for s, row in enumerate(c.rows):
@@ -261,8 +248,10 @@ def minimize(dfa: Dfa) -> Dfa:
                 block_of[s] = new
             work.extend((new, e) for e in range(p))
     rows = [tuple(block_of[t] for t in c.rows[next(iter(members))]) for members in blocks]
-    quotient = Dfa._from_rows(p, block_of[c.initial], {block_of[s] for s in c.finals}, rows)
-    return _bfs_renumber(trim(quotient))
+    finals = {block_of[s] for s in c.finals}
+    dead = {b for b, row in enumerate(rows) if b not in finals and row.count(b) == p}
+    quotient = Dfa._from_rows(p, block_of[c.initial], finals, rows)
+    return _renumbered(quotient, [b for b in _reachable(quotient) if b not in dead])
 
 
 _PRODUCT_MODES = {
@@ -339,7 +328,7 @@ class RecognizableSet:
 
     def __post_init__(self):
         target = self.dfa.rows[self.dfa.initial][0]
-        if target >= 0 and target in _coaccessible(self.dfa, _reachable(self.dfa, [target])):
+        if target >= 0 and not self.dfa.finals.isdisjoint(_reachable(self.dfa, [target])):
             raise ValidationError(
                 "automaton accepts a word with a leading zero; "
                 "apply restrict_to_canonical() or load leniently")
@@ -363,19 +352,22 @@ def member(s: RecognizableSet, n: int) -> bool:
     return accepts(s.dfa, encode(n, s.base))
 
 
-def _exact_depth_layers(rows, targets) -> Iterator[frozenset[int]]:
-    """Layers r = 0, 1, 2, ...: the states with a path of exactly r steps into `targets`.
+def _exact_depth_layers(dfa: Dfa, targets) -> Iterator[frozenset[int]]:
+    """Layers r = 0, 1, 2, ...: the reachable states with a path of exactly r steps into `targets`.
 
+    Layer 0 is `targets` itself.  Only reachable states are scanned, so the
+    layers empty out exactly when finitely many words lead into `targets`.
     Each layer is a function of the one before, so the sequence is periodic
     from its first repeated layer on, and at most preperiod + period layers
     are scanned; later ones are yielded again by reference.
     """
+    rows = [(s, dfa.rows[s]) for s in _reachable(dfa)]
     layer = frozenset(targets)
     scanned: dict[frozenset[int], int] = {}
     while layer not in scanned:
         scanned[layer] = len(scanned)
         yield layer
-        layer = frozenset(s for s, row in enumerate(rows) if any(t in layer for t in row))
+        layer = frozenset(s for s, row in rows if any(t in layer for t in row))
     yield from cycle(list(scanned)[scanned[layer]:])
 
 
@@ -392,7 +384,7 @@ def _ordered_values(dfa: Dfa, targets, bound=(1,), max_len=None) -> Iterator[int
     """
     rows, p, first_len = dfa.rows, dfa.alphabet_size, len(bound)
     layers: list[frozenset[int]] = []
-    for layer in _exact_depth_layers(rows, targets):
+    for layer in _exact_depth_layers(dfa, targets):
         if not layer or len(layers) == max_len:
             return
         layers.append(layer)
@@ -429,13 +421,12 @@ def iter_elements(s: RecognizableSet) -> Iterator[int]:
 
     Word lengths ascend, and within a length `_ordered_values` yields values
     in ascending order, which is numeric order because canonical words of
-    length t occupy [p**(t-1), p**t).  In a trimmed automaton the exact-depth
-    layers empty out exactly when the language is finite, which ends the walk.
+    length t occupy [p**(t-1), p**t).  The exact-depth layers of the
+    untrimmed automaton empty out exactly when the set is finite.
     """
     if s.contains_zero:
         yield 0
-    dfa = trim(s.dfa)
-    yield from _ordered_values(dfa, dfa.finals)
+    yield from _ordered_values(s.dfa, s.dfa.finals)
 
 
 def enumerate_elements(s: RecognizableSet, limit: int) -> list[int]:

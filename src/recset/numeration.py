@@ -95,8 +95,9 @@ def mult_independent(p: int, q: int) -> IndependenceVerdict:
     two differences share a sign, and their absolute values are the least
     witness (k, l): each step keeps the 2x2 exponent matrix at determinant
     +-1, so the difference is primitive, and the witnesses are the multiples
-    of one primitive pair.  x * y at least halves per step, so the cost grows
-    with the bit lengths of p and q.
+    of one primitive pair.  A step divides by the largest y**j, j a power of
+    two, that divides x and stays below it: j steps by y, and x * y at least
+    halves per such step, so the cost grows with the bit lengths of p and q.
     """
     if p < 2 or q < 2:
         raise ValidationError(f"bases must be >= 2, got {p} and {q}")
@@ -106,7 +107,10 @@ def mult_independent(p: int, q: int) -> IndependenceVerdict:
             (x, e1, f1), (y, e2, f2) = (y, e2, f2), (x, e1, f1)
         if x % y:
             return IndependenceVerdict(True)
-        x, e1, f1 = x // y, e1 - e2, f1 - f2
+        power, j = y, 1
+        while (square := power * power) < x and x % square == 0:
+            power, j = square, 2 * j
+        x, e1, f1 = x // power, e1 - j * e2, f1 - j * f2
     k, ell = abs(e1 - e2), abs(f1 - f2)
     if p**k != q**ell:
         raise RecsetError(f"internal: dependence witness {p}^{k} = {q}^{ell} does not hold")

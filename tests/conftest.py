@@ -17,7 +17,6 @@ from recset import (
     restrict_to_canonical,
     trim,
 )
-from recset.automata import _bfs_renumber
 
 
 def multiples_of(k: int, base: int) -> RecognizableSet:
@@ -164,8 +163,9 @@ def moore_minimize(dfa: Dfa) -> Dfa:
     """Minimization by Moore's quadratic refinement, the slow reference for `minimize`.
 
     Every round re-splits all states by (block, block of each successor)
-    until the block count stops growing; the quotient then goes through the
-    same trim and breadth-first layout as `minimize`, so outputs compare with ==.
+    until the block count stops growing; the quotient is then trimmed and
+    laid out breadth-first from the initial state, digits ascending, which
+    is `minimize`'s canonical layout, so outputs compare with ==.
     """
     trimmed = trim(dfa)
     if not trimmed.finals:
@@ -183,7 +183,15 @@ def moore_minimize(dfa: Dfa) -> Dfa:
         nblocks = len(sigs)
     transitions = {(block[s], d): block[rows[s][d]] for s in range(n) for d in range(p)}
     quotient = Dfa(p, nblocks, block[c.initial], frozenset(block[s] for s in c.finals), transitions)
-    return _bfs_renumber(trim(quotient))
+    live = trim(quotient)
+    order, queue = {live.initial: 0}, [live.initial]
+    for s in queue:
+        for t in live.rows[s]:
+            if t >= 0 and t not in order:
+                order[t] = len(order)
+                queue.append(t)
+    transitions = {(order[s], d): order[t] for (s, d), t in live.transitions.items()}
+    return Dfa(p, len(order), 0, frozenset(order[s] for s in live.finals), transitions)
 
 
 def subset_step(dfa: Dfa, states) -> frozenset[int]:

@@ -133,6 +133,32 @@ def test_minimize_fixed_point():
         assert minimize(m) == m
 
 
+def test_minimize_drops_a_dead_class_that_completion_did_not_add():
+    # example1 whose leading 0 enters a non-final 2-cycle with no exit: the
+    # input is complete, so the dead class comes from the cycle, not a sink
+    dfa = Dfa(2, 5, 0, {1}, {(0, 0): 3, (0, 1): 1, (1, 0): 2, (1, 1): 2, (2, 0): 1, (2, 1): 1,
+                             (3, 0): 4, (3, 1): 4, (4, 0): 3, (4, 1): 3})
+    assert dfa.is_complete
+    minimal = minimize(dfa)
+    assert minimal == moore_minimize(dfa)
+    assert (minimal.initial, minimal.finals, minimal.rows) == (0, {1}, ((-1, 1), (2, 2), (1, 1)))
+
+
+def test_minimize_of_an_unreachable_final_is_empty():
+    dfa = Dfa(3, 3, 0, {2}, {(0, 0): 1, (1, 1): 0, (2, 2): 2, (2, 0): 0})
+    assert minimize(dfa) == empty_dfa(3)
+
+
+def test_enumeration_of_a_finite_set_ignores_stray_cycles():
+    # {1, 2, 3} in base 2, beside a reachable dead 2-cycle (entered by a
+    # leading 0 and after two digits) and an unreachable final self-loop;
+    # exact-depth layers over every row would never empty out
+    dfa = Dfa(2, 6, 0, {1, 2, 5}, {(0, 0): 3, (0, 1): 1, (1, 0): 2, (1, 1): 2, (2, 0): 3,
+                                   (2, 1): 3, (3, 0): 4, (3, 1): 4, (4, 0): 3, (4, 1): 3,
+                                   (5, 0): 5, (5, 1): 5})
+    assert enumerate_elements(RecognizableSet(dfa), 100) == [1, 2, 3]
+
+
 def test_minimize_preserves_membership_on_random_sets():
     for s in random_recognizable_sets(101, 25, require_infinite=False):
         m = RecognizableSet(minimize(s.dfa), s.contains_zero)
@@ -342,8 +368,8 @@ def test_enumeration_scans_layers_only_to_the_first_repeat(monkeypatch):
     seen = []
     original = automata._exact_depth_layers
 
-    def spy(rows, targets):
-        for layer in original(rows, targets):
+    def spy(dfa, targets):
+        for layer in original(dfa, targets):
             seen.append(layer)
             yield layer
 
@@ -419,7 +445,7 @@ def test_cycle_check_and_components_against_oracles(dfa):
     assert sorted(s for comp in comps for s in comp) == sorted(reach)
     position = {s: i for i, comp in enumerate(comps) for s in comp}
     for s in reach:
-        assert _reachable(dfa, [s]) >= set(comps[position[s]])
+        assert set(_reachable(dfa, [s])) >= set(comps[position[s]])
         for t in dfa.rows[s]:
             assert t < 0 or position[t] <= position[s]
 

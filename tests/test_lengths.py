@@ -236,7 +236,7 @@ def _blocked_dfas(draw):
 def test_component_engine_equals_the_forward_walk(case):
     dfa, sources = case
     profiles = _reachable_profiles(dfa, sources)
-    assert set(profiles) == _reachable(dfa, sources)
+    assert set(profiles) == set(_reachable(dfa, sources))
     for state, prof in profiles.items():
         assert prof == walk_profile(dfa, state)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 
@@ -124,6 +125,15 @@ def test_independence_of_large_bases_costs_their_bit_length():
     assert mult_independent(mersenne**2, mersenne**3).dependence_witness == (3, 2)
     assert mult_independent(mersenne, 3) == IndependenceVerdict(True)
     assert mult_independent(10**40 + 121, 10**40 + 121).dependence_witness == (1, 1)
+
+
+def test_independence_of_a_high_power_costs_its_bit_length():
+    # one division per unit of exponent costs seconds on these bases;
+    # dividing by repeated squares costs milliseconds
+    for p, q, witness in [(2**100000, 2, (1, 100000)), (2, 2**100000, (100000, 1))]:
+        start = time.perf_counter()
+        assert mult_independent(p, q).dependence_witness == witness
+        assert time.perf_counter() - start < 1
 
 
 def test_independence_symmetry_and_witnesses():

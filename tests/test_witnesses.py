@@ -351,12 +351,13 @@ def _record_calls(monkeypatch, function: str, owner: str = "automata") -> list:
 
 
 # the four decisions, each called on a known-different pair
-ENTRY_POINTS = pytest.mark.parametrize("call", [
-    lambda p, q: cross_base_refute(p, q),
-    lambda p, q: syndetic_decide(q),
-    lambda p, q: nonempty_interval_witness(p, 1),
-    lambda p, q: empty_interval_witness(q),
-], ids=["refute", "syndetic", "nonempty", "empty"])
+DECISIONS = {
+    "refute": lambda p, q: cross_base_refute(p, q),
+    "syndetic": lambda p, q: syndetic_decide(q),
+    "nonempty": lambda p, q: nonempty_interval_witness(p, 1),
+    "empty": lambda p, q: empty_interval_witness(q),
+}
+ENTRY_POINTS = pytest.mark.parametrize("call", DECISIONS.values(), ids=DECISIONS)
 
 
 @ENTRY_POINTS
@@ -370,15 +371,18 @@ def test_minimize_runs_at_most_once_per_set(monkeypatch, call):
     assert sum(d is set_q.dfa for d in inputs) <= 1
 
 
-@ENTRY_POINTS
-def test_trim_runs_at_most_once_per_set(monkeypatch, call):
-    # finiteness is read off the normal form's profiles, so only `minimize` trims the input
+@pytest.mark.parametrize("call", [
+    *DECISIONS.values(),
+    lambda p, q: minimize(p.dfa),
+    lambda p, q: enumerate_elements(q, 5),
+], ids=[*DECISIONS, "minimize", "enum"])
+def test_decisions_never_trim(monkeypatch, call):
+    # the normal form and enumeration read only the reachable part, and
+    # refinement merges the dead states into one class: nothing trims the input
     set_p, set_q = full_set(3), example1()
     inputs = _record_calls(monkeypatch, "trim")
     assert call(set_p, set_q) is not None
-    assert sum(d is set_p.dfa for d in inputs) <= 1
-    assert sum(d is set_q.dfa for d in inputs) <= 1
-    assert any(d is set_p.dfa or d is set_q.dfa for d in inputs)
+    assert not any(d is set_p.dfa or d is set_q.dfa for d in inputs)
 
 
 @pytest.mark.parametrize("s", [
@@ -677,9 +681,9 @@ def test_refute_certificate_layers_scan_only_to_the_first_repeat(monkeypatch):
     calls = []
     original = automata._exact_depth_layers
 
-    def spy(rows, targets):
-        calls.append((rows, targets, []))
-        for layer in original(rows, targets):
+    def spy(dfa, targets):
+        calls.append((dfa, targets, []))
+        for layer in original(dfa, targets):
             calls[-1][2].append(layer)
             yield layer
 
@@ -687,8 +691,8 @@ def test_refute_certificate_layers_scan_only_to_the_first_repeat(monkeypatch):
     cert = cross_base_refute(set_p, set_q)
     assert cert is not None and verify_contradiction(cert, set_p, set_q)
     # the last walk is the certificate element's: m's digits, then depth more
-    rows, targets, layers = calls[-1]
-    assert rows is nf.rows and targets == nf.finals
+    dfa, targets, layers = calls[-1]
+    assert dfa is nf and targets == nf.finals
     nw = cert.base_p_witness
     depth = nw.a + nw.b * cert.kronecker.k
     assert depth > 10 * (pre + period)  # 377 digits after m, against 7 distinct layers
