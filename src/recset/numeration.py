@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError, RecsetError, SearchCapExceededError, ValidationError
 
 DEFAULT_KRONECKER_CAP = 10_000
+_LOOP_BITS = 1536  # encode keeps the per-digit loop up to here: splitting saves microseconds
 
 
 @dataclass(frozen=True)
@@ -51,11 +52,25 @@ def encode(n: int, p: int) -> DigitWord:
         raise ValidationError(f"base must be >= 2, got {p}")
     if n < 0:
         raise ValidationError(f"cannot encode negative integer {n}")
-    digits = []
-    while n:
-        n, d = divmod(n, p)
-        digits.append(d)
-    return DigitWord(p, tuple(reversed(digits)))
+    powers = [p]  # p**(2**j) for j = 0, 1, ..., up to n when n is long
+    while n.bit_length() > _LOOP_BITS and (square := powers[-1] ** 2) <= n:
+        powers.append(square)
+    return DigitWord(p, tuple(_digits(n, p, powers, 0)))
+
+
+def _digits(n: int, p: int, powers: list[int], pad: int) -> list[int]:
+    """Base-p digits of n zero-padded to pad; n < powers[-1]**2 past _LOOP_BITS bits splits."""
+    if not powers or n.bit_length() <= _LOOP_BITS:
+        digits = []
+        while n:
+            n, d = divmod(n, p)
+            digits.append(d)
+        return [0] * (pad - len(digits)) + digits[::-1]
+    width = 1 << (len(powers) - 1)  # powers[-1] = p**width
+    hi, lo = divmod(n, powers[-1])
+    if not hi:
+        return _digits(lo, p, powers[:-1], pad)
+    return _digits(hi, p, powers[:-1], pad - width) + _digits(lo, p, powers[:-1], width)
 
 
 def decode(w, p: int) -> int:
@@ -95,9 +110,10 @@ def mult_independent(p: int, q: int) -> IndependenceVerdict:
     two differences share a sign, and their absolute values are the least
     witness (k, l): each step keeps the 2x2 exponent matrix at determinant
     +-1, so the difference is primitive, and the witnesses are the multiples
-    of one primitive pair.  A step divides by the largest y**j, j a power of
-    two, that divides x and stays below it: j steps by y, and x * y at least
-    halves per such step, so the cost grows with the bit lengths of p and q.
+    of one primitive pair; the same determinant makes the final x the common
+    root, p == x**l and q == x**k.  A step divides by the largest y**j, j a
+    power of two, that divides x and stays below it: j steps by y, and x * y
+    at least halves per such step, so the cost grows with the bit lengths.
     """
     if p < 2 or q < 2:
         raise ValidationError(f"bases must be >= 2, got {p} and {q}")
@@ -112,7 +128,7 @@ def mult_independent(p: int, q: int) -> IndependenceVerdict:
             power, j = square, 2 * j
         x, e1, f1 = x // power, e1 - j * e2, f1 - j * f2
     k, ell = abs(e1 - e2), abs(f1 - f2)
-    if p**k != q**ell:
+    if p != x**ell or q != x**k:
         raise RecsetError(f"internal: dependence witness {p}^{k} = {q}^{ell} does not hold")
     return IndependenceVerdict(False, (k, ell))
 
@@ -160,12 +176,15 @@ def kronecker_witness(m: int, n: int, a: int, b: int, c: int, d: int,
                       p: int, q: int) -> KroneckerWitness:
     """Smallest (by l, then k) exponent pair nesting the intervals.
 
-    Enumerates l = 1, 2, ... and brackets the candidate k range with real
-    logarithms, then confirms candidates in exact integer arithmetic; the
-    floats only narrow the search and never decide.  Termination is
-    guaranteed for multiplicatively independent bases; the fixed constant
-    DEFAULT_KRONECKER_CAP bounds l as a safety valve only, and a search
-    past it raises SearchCapExceededError.
+    For l = 1, 2, ... and t = (c+d*l)*log q, the pair nests exactly when b*k*log p
+    lies in [log n - log m - a*log p + t, log(n+1) - log(m+1) - a*log p + t].  Each
+    of the about 15 roundings behind an end (logarithms, int to float, products,
+    sums, one division) errs by at most 2**-52*S, S = 1 + t + a*log p + log(m+1) +
+    log(n+1), so widening both ends by 2**-40*S, over 250 times their sum, skips
+    no integer k.  Only the k left in the widened bracket are checked, in exact
+    integer arithmetic: the floats only narrow the search and never decide.
+    Termination is guaranteed for independent bases; DEFAULT_KRONECKER_CAP bounds l
+    as a safety valve only, and a search past it raises SearchCapExceededError.
     """
     for name, value in (("m", m), ("n", n), ("a", a), ("b", b), ("c", c), ("d", d)):
         if value < 1:
@@ -175,20 +194,16 @@ def kronecker_witness(m: int, n: int, a: int, b: int, c: int, d: int,
     require_independent(p, q)
 
     log_p, log_q = math.log(p), math.log(q)
-    step_q = q**d
-    big_q = q**c
+    lo_0 = math.log(n) - math.log(m) - a * log_p
+    hi_0 = math.log(n + 1) - math.log(m + 1) - a * log_p
+    size = 1 + a * log_p + math.log(m + 1) + math.log(n + 1)
     for ell in range(1, DEFAULT_KRONECKER_CAP + 1):
-        big_q *= step_q
-        # k must satisfy n*big_q <= m*p^(a+bk) and (m+1)*p^(a+bk) <= (n+1)*big_q
         t = (c + d * ell) * log_q
-        lo = (math.log(n) + t - math.log(m) - a * log_p) / (b * log_p)
-        hi = (math.log(n + 1) + t - math.log(m + 1) - a * log_p) / (b * log_p)
-        k_lo = max(1, math.floor(lo) - 2)
-        k_hi = math.ceil(hi) + 2
-        n_q, n1_q = n * big_q, (n + 1) * big_q
-        for k in range(k_lo, k_hi + 1):
-            big_p = p ** (a + b * k)
-            if n_q <= m * big_p and (m + 1) * big_p <= n1_q:
+        margin = 2**-40 * (size + t)
+        k_lo = max(1, math.ceil((lo_0 + t - margin) / (b * log_p)))
+        for k in range(k_lo, math.floor((hi_0 + t + margin) / (b * log_p)) + 1):
+            big_q, big_p = q ** (c + d * ell), p ** (a + b * k)
+            if n * big_q <= m * big_p and (m + 1) * big_p <= (n + 1) * big_q:
                 return KroneckerWitness(k, ell)
     raise SearchCapExceededError(f"no exponent pair found with l <= {DEFAULT_KRONECKER_CAP}",
                                  cap=DEFAULT_KRONECKER_CAP)

@@ -43,6 +43,34 @@ def test_encode_errors():
         encode(-1, 2)
 
 
+def _loop_digits(n, p):
+    digits = []
+    while n:
+        n, d = divmod(n, p)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+def test_long_encode_matches_the_digit_loop():
+    # past a cutoff encode splits at p**(2**j); the low halves keep their
+    # leading zeros, so runs of zeros and numbers next to powers of p are the
+    # cases a wrong pad would break
+    rng = random.Random(5)
+    cases = [(p**w + delta, p) for p in (2, 3, 10, 36)
+             for w in (1000, 1024, 2048, 5000) for delta in (-1, 0, 1)]
+    cases += [(rng.getrandbits(rng.randint(1500, 20000)), rng.randint(2, 36)) for _ in range(40)]
+    cases += [(7 * 5**4000 + 3 * 5**1999 + 2, 5), (2**3000 + 1, 2**2000 + 1)]
+    for n, p in cases:
+        assert encode(n, p).digits == _loop_digits(n, p)
+
+
+def test_long_encode_is_not_quadratic():
+    # the per-digit loop takes seconds on this number; splitting takes a fraction
+    start = time.perf_counter()
+    assert encode(3**200_000 - 1, 3).digits == (2,) * 200_000
+    assert time.perf_counter() - start < 2
+
+
 def test_decode_basics():
     assert decode([1, 0, 1], 2) == 5
     assert decode([0, 0, 7], 10) == 7
@@ -136,6 +164,14 @@ def test_independence_of_a_high_power_costs_its_bit_length():
         assert time.perf_counter() - start < 1
 
 
+def test_independence_self_check_costs_the_bit_length_of_the_bases():
+    # checking p**k == q**l here would build numbers of 2999 * 3000 * log2(6) bits
+    for p, q, witness in [(6**3000, 6**2999, (2999, 3000)), (6**2999, 6**3000, (3000, 2999))]:
+        start = time.perf_counter()
+        assert mult_independent(p, q).dependence_witness == witness
+        assert time.perf_counter() - start < 1
+
+
 def test_independence_symmetry_and_witnesses():
     rng = random.Random(11)
     for _ in range(200):
@@ -174,6 +210,89 @@ def test_kronecker_lower_bound_met_with_equality():
     w = kronecker_witness(9, 8, 1, 1, 1, 1, 2, 3)
     assert w == KroneckerWitness(k=2, ell=1)
     assert verify_kronecker(w, 9, 8, 1, 1, 1, 1, 2, 3)
+
+
+def test_kronecker_upper_bound_met_with_equality():
+    # (m+1)*p**(a+b*k) <= (n+1)*q**(c+d*l) holds with equality at the answer,
+    # 9 * 2**2 == 4 * 3**2 == 36, so the bracket's upper end is exact and the
+    # gate must admit an integer sitting right on it
+    assert 9 * 2**2 == 4 * 3**2 and 3 * 3**2 <= 8 * 2**2
+    w = kronecker_witness(8, 3, 1, 1, 1, 1, 2, 3)
+    assert w == KroneckerWitness(k=1, ell=1)
+    assert verify_kronecker(w, 8, 3, 1, 1, 1, 1, 2, 3)
+
+
+@pytest.mark.parametrize("args, witness", [
+    ((20, 19, 3, 3, 5, 5, 2, 3), KroneckerWitness(k=15912, ell=6023)),
+    ((101, 100, 2, 1, 3, 2, 10, 3), KroneckerWitness(k=2490, ell=2610)),
+])
+def test_kronecker_golden_least_witness_for_a_long_search(args, witness):
+    # thousands of l to try: building every power exactly took seconds,
+    # the float gate builds only the survivors
+    start = time.perf_counter()
+    assert kronecker_witness(*args) == witness
+    assert time.perf_counter() - start < 1
+    assert verify_kronecker(witness, *args)
+
+
+def _least_exact_pair(m, n, a, b, c, d, p, q, limit):
+    """Least (l, k) with l <= limit, by bisection on k in integers only."""
+    for ell in range(1, limit + 1):
+        big_q = q ** (c + d * ell)
+        # n*big_q <= m*p**(a+b*k) is monotone in k; find its least k by bisection
+        lo, hi = 1, (n * big_q).bit_length() + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if n * big_q <= m * p ** (a + b * mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        if (m + 1) * p ** (a + b * lo) <= (n + 1) * big_q:
+            return lo, ell
+    return None
+
+
+def test_kronecker_matches_exact_oracle_on_large_exponents():
+    # large c, d and a make t and a*log p large: the float error and the
+    # margin both grow with them
+    rng = random.Random(31)
+    for _ in range(150):
+        p, q = rng.choice([(2, 3), (2, 5), (3, 5), (2, 7), (7, 2)])
+        n = rng.randint(1, 30)
+        m = rng.randint(n + 1, 40)
+        a, c, d = rng.randint(1, 200), rng.randint(1, 50), rng.randint(1, 50)
+        b = rng.randint(1, 4)
+        expected = _least_exact_pair(m, n, a, b, c, d, p, q, limit=60)
+        try:
+            w = kronecker_witness(m, n, a, b, c, d, p, q)
+        except SearchCapExceededError:
+            assert expected is None
+            continue
+        if expected is None:
+            assert w.ell > 60
+        else:
+            assert (w.k, w.ell) == expected
+        assert verify_kronecker(w, m, n, a, b, c, d, p, q)
+
+
+def test_kronecker_admits_bounds_met_with_equality_at_large_exponents():
+    # n = p**(a+b*k), m = q**(c+d*l) meet the lower bound with equality at
+    # (k, l), and n + 1, m + 1 the upper one: the float bracket then ends on
+    # an integer up to rounding, and a gate without a margin skips it
+    rng = random.Random(3)
+    checked = 0
+    while checked < 150:
+        p, q = rng.choice([(2, 3), (3, 2), (2, 5), (5, 2), (2, 7), (3, 5), (10, 3)])
+        k, ell = rng.randint(1, 3), rng.randint(1, 3)
+        a, b, c, d = rng.randint(1, 40), rng.randint(1, 3), rng.randint(1, 40), rng.randint(1, 3)
+        n, m = p ** (a + b * k), q ** (c + d * ell)
+        if rng.random() < 0.5:
+            n, m = n - 1, m - 1
+        if not n < m:
+            continue
+        checked += 1
+        w = kronecker_witness(m, n, a, b, c, d, p, q)
+        assert (w.k, w.ell) == _least_exact_pair(m, n, a, b, c, d, p, q, limit=ell)
 
 
 def test_kronecker_matches_oracle_on_small_tuples():
