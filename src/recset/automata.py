@@ -8,13 +8,14 @@ transition function is needed.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import cycle, islice
+from itertools import chain, cycle, islice
 from typing import Iterator
 
 from .errors import ValidationError
-from .numeration import DigitWord, encode
+from .numeration import DigitWord, decode, encode
 
 
 @dataclass(frozen=True, init=False)
@@ -374,59 +375,69 @@ def _exact_depth_layers(dfa: Dfa, targets) -> Iterator[frozenset[int]]:
 def _ordered_values(dfa: Dfa, targets, bound=(1,), max_len=None) -> Iterator[int]:
     """The values >= `bound` of the words from the initial state into `targets`, ascending.
 
-    Word lengths run upward from len(bound) to `max_len`, or to the first
-    empty exact-depth layer, after which every layer is empty.  Within a
-    length t the walk is depth-first, digits ascending, and takes a digit
-    only if its target is in the layer for the steps left, so every branch
-    entered ends in a word.  Words of length len(bound) are bounded below by
-    the digits of `bound`, the only source of dead ends; longer ones start
-    with a nonzero digit.  Memory is O(t), never a whole length.
+    `bound` is a digit tuple with a nonzero first digit.  Word lengths run
+    upward from len(bound) to `max_len`, or to the first empty exact-depth
+    layer, after which every layer is empty.  A word of length t is walked
+    depth-first in blocks, g digits each but the first, of t % g or g; g is
+    the largest with p**g <= 128.  A frame with r digits left lists the
+    (value, target) pairs of its h-digit block, ascending, whose i-th digit
+    leads into layers[r-1-i], so every block entered ends in a word.  The
+    lists are memoized by (state, h, layers[r-h], leading-digit flag): each
+    layer is a function of the one before, so layers[r-h] fixes every layer
+    the pruning reads.  Only pushed frames build lists, of at most p**g
+    pairs each, so memory is O(t) plus that memo, never a whole length.
+    Words of length len(bound) are bounded below block by block, the only
+    source of dead ends; a word's first digit is nonzero.
     """
     rows, p, first_len = dfa.rows, dfa.alphabet_size, len(bound)
+    g = next(h for h in range(1, 8) if p ** (h + 1) > 128)
     layers: list[frozenset[int]] = []
+    memo: dict[tuple, list[tuple[int, int]]] = {}
+
+    def frame(state, r, tight, value, depth):
+        # [pairs, next index, tight, value before the block * p**h, digits after the block]
+        h = r % g or g
+        key = (state, h, layers[r - h], not depth)
+        if (pairs := memo.get(key)) is None:
+            pairs = [(0, state)]
+            for i in range(h):
+                pairs = [(v * p + d, nxt) for v, s in pairs for d, nxt in enumerate(rows[s])
+                         if nxt in layers[r - 1 - i] and (d or i or depth)]
+            memo[key] = pairs
+        return [pairs, bisect_left(pairs, (blocks[depth],)) if tight else 0, tight, value * p**h, r - h]
+
     for layer in _exact_depth_layers(dfa, targets):
         if not layer or len(layers) == max_len:
             return
         layers.append(layer)
         if (t := len(layers)) < first_len:
             continue
-        # frame: [state, next digit to try, prefix still equal to bound]; `value`
-        # is the top frame's prefix, kept once so long words cost O(t) digits, not O(t**2)
-        tight = t == first_len
-        stack = [[dfa.initial, bound[0] if tight else 1, tight]]
-        value = 0
+        blocks = encode(decode(bound, p), p**g).digits if t == first_len else ()
+        stack = [frame(dfa.initial, t, t == first_len, 0, 0)]
         while stack:
-            frame = stack[-1]
-            state, lo, tight = frame
-            depth = len(stack) - 1
-            row = rows[state]
-            layer = layers[t - depth - 1]
-            for d in range(lo, p):
-                if (nxt := row[d]) in layer:
-                    if depth == t - 1:
-                        yield value * p + d
-                        continue
-                    frame[1] = d + 1
-                    child_tight = tight and d == bound[depth]
-                    stack.append([nxt, bound[depth + 1] if child_tight else 0, child_tight])
-                    value = value * p + d
-                    break
-            else:
-                del stack[-1]
-                value //= p
+            top = stack[-1]
+            pairs, i, tight, base, rest = top
+            if not rest:
+                for v, _ in pairs[i:]:
+                    yield base + v
+            elif i < len(pairs):
+                top[1] = i + 1
+                v, nxt = pairs[i]
+                stack.append(frame(nxt, rest, tight and v == blocks[len(stack) - 1], base + v, len(stack)))
+                continue
+            del stack[-1]
 
 
 def iter_elements(s: RecognizableSet) -> Iterator[int]:
-    """Yield the elements of the set in increasing order, lazily.
+    """The elements of the set in increasing order, as a lazy iterator.
 
     Word lengths ascend, and within a length `_ordered_values` yields values
     in ascending order, which is numeric order because canonical words of
     length t occupy [p**(t-1), p**t).  The exact-depth layers of the
     untrimmed automaton empty out exactly when the set is finite.
     """
-    if s.contains_zero:
-        yield 0
-    yield from _ordered_values(s.dfa, s.dfa.finals)
+    values = _ordered_values(s.dfa, s.dfa.finals)
+    return chain((0,), values) if s.contains_zero else values
 
 
 def enumerate_elements(s: RecognizableSet, limit: int) -> list[int]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError, RecsetError, SearchCapExceededError, ValidationError
 
 DEFAULT_KRONECKER_CAP = 10_000
-_LOOP_BITS = 1536  # encode keeps the per-digit loop up to here: splitting saves microseconds
+_LOOP_BITS = 1536  # encode and decode keep the per-digit loop up to here: splitting saves microseconds
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,14 @@ def _digits(n: int, p: int, powers: list[int], pad: int) -> list[int]:
 
 
 def decode(w, p: int) -> int:
-    """Value of a digit string in base p.  Leading zeros are permitted and ignored."""
+    """Value of a digit string in base p, leading zeros ignored; long words split in halves."""
     if p < 2:
         raise ValidationError(f"base must be >= 2, got {p}")
     if isinstance(w, DigitWord) and w.base != p:
         raise ValidationError(f"word has base {w.base}, expected {p}")
+    if len(w := tuple(w)) * (p - 1).bit_length() > _LOOP_BITS:
+        half = len(w) // 2
+        return decode(w[:half], p) * p ** (len(w) - half) + decode(w[half:], p)
     value = 0
     for d in w:
         if not 0 <= d < p:

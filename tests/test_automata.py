@@ -29,7 +29,13 @@ from recset import (
     syndetic_decide,
     trim,
 )
-from recset.automata import _reachable, canonical_words_dfa, empty_dfa, is_empty_language
+from recset.automata import (
+    _ordered_values,
+    _reachable,
+    canonical_words_dfa,
+    empty_dfa,
+    is_empty_language,
+)
 from recset.lengths import _components
 from conftest import (
     chain,
@@ -337,11 +343,48 @@ def test_enumerate_empty_and_finite():
 
 
 def test_enumerate_matches_scan_on_random_sets():
-    for s in random_recognizable_sets(404, 6, require_infinite=False):
+    sets = random_recognizable_sets(404, 6, require_infinite=False)
+    for s in sets + random_recognizable_sets(405, 6, bases=(5, 10), require_infinite=False):
         bound = 5000
         expected = scan_elements(s, bound)
         got = [x for x in enumerate_elements(s, len(expected) + 50) if x <= bound]
         assert got == expected
+
+
+def _words_into(dfa, targets, first_len, max_len):
+    """{t: sorted values} of the words of each length t in first_len..max_len that
+    start with a nonzero digit and lead into `targets`; every prefix is kept."""
+    p, prefixes, out = dfa.alphabet_size, [(0, dfa.initial)], {}
+    for length in range(1, max_len + 1):
+        prefixes = [(v * p + d, t) for v, s in prefixes for d, t in enumerate(dfa.rows[s])
+                    if t >= 0 and (d or length > 1)]
+        if length >= first_len:
+            out[length] = sorted(v for v, s in prefixes if s in targets)
+    return out
+
+
+# g, the digits per block of the ordered walk, is 7, 4, 3, 2, 1, 1 for these
+# bases; the longest words cross at least one block boundary
+@pytest.mark.parametrize("base, longest", [(2, 12), (3, 8), (5, 5), (10, 4), (12, 3), (16, 3)])
+def test_ordered_values_match_every_word(base, longest):
+    rng = random.Random(base)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = [tuple(rng.randrange(n) if rng.random() < 0.85 else -1 for _ in range(base))
+                for _ in range(n)]
+        dfa = Dfa._from_rows(base, rng.randrange(n), (), rows)
+        targets = frozenset(rng.sample(range(n), rng.randint(1, n)))  # not the finals
+        first_len = rng.randint(1, longest)
+        max_len = rng.randint(first_len, longest)
+        words = _words_into(dfa, targets, first_len, max_len)
+        if words[first_len] and rng.random() < 0.5:  # a bound met with equality
+            bound = encode(rng.choice(words[first_len]), base).digits
+        else:
+            bound = (rng.randrange(1, base),) + tuple(rng.randrange(base) for _ in range(first_len - 1))
+        low = sum(d * base**i for i, d in enumerate(reversed(bound)))
+        expected = [v for length in sorted(words) for v in words[length]
+                    if length > first_len or v >= low]
+        assert list(_ordered_values(dfa, targets, bound, max_len)) == expected
 
 
 def test_enumerate_big_scan_cross_check():

@@ -87,6 +87,31 @@ def test_decode_errors():
         decode(DigitWord(3, (1,)), 2)
 
 
+def test_long_decode_splits_in_halves():
+    # past a cutoff decode splits the word; the low half keeps its leading zeros
+    n = random.Random(11).randrange(3**19_999, 3**20_000)
+    word = encode(n, 3)
+    assert len(word) == 20_000
+    assert decode(word, 3) == n
+    assert decode((0,) * 7_777 + word.digits, 3) == n
+    assert decode((1,) + (0,) * 9_999, 2) == 2**9_999
+    for p in (2, 10, 36):
+        m = p**3000 - 1
+        assert decode(encode(m, p), p) == m
+
+
+def test_long_decode_checks_every_digit():
+    digits = list(encode(3**20_000 - 1, 3).digits)
+    for i in (0, 12_345, len(digits) - 1):
+        bad = digits.copy()
+        bad[i] = 3
+        with pytest.raises(ValidationError):
+            decode(bad, 3)
+    digits[15_000] = -1
+    with pytest.raises(ValidationError):
+        decode(digits, 3)
+
+
 def test_round_trip_sample():
     for p in range(2, 17):
         for n in range(0, 3000):

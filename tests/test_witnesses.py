@@ -245,7 +245,7 @@ def test_witness_m_is_minimal_against_brute_force():
 
 @st.composite
 def _canonical_sets(draw) -> RecognizableSet:
-    base = draw(st.sampled_from((2, 3)))
+    base = draw(st.sampled_from((2, 3, 5, 10)))
     n = draw(st.integers(1, 5))
     state = st.integers(0, n - 1)
     transitions = draw(st.dictionaries(st.tuples(state, st.integers(0, base - 1)), state))
