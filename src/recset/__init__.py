@@ -44,7 +44,6 @@ from .lengths import (
     length_profile,
 )
 from .numeration import (
-    DigitWord,
     KroneckerWitness,
     decode,
     encode,

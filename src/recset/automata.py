@@ -15,7 +15,7 @@ from itertools import chain, cycle, islice
 from typing import Iterator
 
 from .errors import ValidationError
-from .numeration import DigitWord, decode, encode
+from .numeration import decode, encode
 
 
 @dataclass(frozen=True, init=False)
@@ -116,8 +116,6 @@ def empty_dfa(alphabet_size: int) -> Dfa:
 
 def accepts(dfa: Dfa, word) -> bool:
     """True iff the word drives the automaton from its initial state into a final state."""
-    if isinstance(word, DigitWord) and word.base != dfa.alphabet_size:
-        raise ValidationError(f"word base {word.base} does not match alphabet size {dfa.alphabet_size}")
     end = dfa.walk(dfa.initial, word)
     return end is not None and end in dfa.finals
 
@@ -412,7 +410,7 @@ def _ordered_values(dfa: Dfa, targets, bound=(1,), max_len=None) -> Iterator[int
         layers.append(layer)
         if (t := len(layers)) < first_len:
             continue
-        blocks = encode(decode(bound, p), p**g).digits if t == first_len else ()
+        blocks = encode(decode(bound, p), p**g) if t == first_len else ()
         stack = [frame(dfa.initial, t, t == first_len, 0, 0)]
         while stack:
             top = stack[-1]

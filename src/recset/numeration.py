@@ -16,37 +16,7 @@ DEFAULT_KRONECKER_CAP = 10_000
 _LOOP_BITS = 1536  # encode and decode keep the per-digit loop up to here: splitting saves microseconds
 
 
-@dataclass(frozen=True)
-class DigitWord:
-    """A finite digit string in a fixed base, most-significant digit first."""
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(self.digits))
-        if self.base < 2:
-            raise ValidationError(f"base must be >= 2, got {self.base}")
-        for d in self.digits:
-            if not 0 <= d < self.base:
-                raise ValidationError(f"digit {d} out of range for base {self.base}")
-
-    @property
-    def canonical(self) -> bool:
-        """True when the word is empty or carries no leading zero."""
-        return not self.digits or self.digits[0] != 0
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
-
-    def __getitem__(self, i):
-        return self.digits[i]
-
-
-def encode(n: int, p: int) -> DigitWord:
+def encode(n: int, p: int) -> tuple[int, ...]:
     """Canonical base-p digits of n, most significant first; 0 encodes as the empty word."""
     if p < 2:
         raise ValidationError(f"base must be >= 2, got {p}")
@@ -55,7 +25,7 @@ def encode(n: int, p: int) -> DigitWord:
     powers = [p]  # p**(2**j) for j = 0, 1, ..., up to n when n is long
     while n.bit_length() > _LOOP_BITS and (square := powers[-1] ** 2) <= n:
         powers.append(square)
-    return DigitWord(p, tuple(_digits(n, p, powers, 0)))
+    return tuple(_digits(n, p, powers, 0))
 
 
 def _digits(n: int, p: int, powers: list[int], pad: int) -> list[int]:
@@ -77,9 +47,7 @@ def decode(w, p: int) -> int:
     """Value of a digit string in base p, leading zeros ignored; long words split in halves."""
     if p < 2:
         raise ValidationError(f"base must be >= 2, got {p}")
-    if isinstance(w, DigitWord) and w.base != p:
-        raise ValidationError(f"word has base {w.base}, expected {p}")
-    if len(w := tuple(w)) * (p - 1).bit_length() > _LOOP_BITS:
+    if len(w := tuple(w)) > 1 and len(w) * (p - 1).bit_length() > _LOOP_BITS:
         half = len(w) // 2
         return decode(w[:half], p) * p ** (len(w) - half) + decode(w[half:], p)
     value = 0

@@ -135,7 +135,7 @@ def _min_value_path(dfa: Dfa, targets, min_value: int) -> tuple[int, int]:
 
     Returns (value, end_state).
     """
-    bound = encode(min_value, dfa.alphabet_size).digits
+    bound = encode(min_value, dfa.alphabet_size)
     value = next(_ordered_values(dfa, targets, bound, len(bound) + dfa.state_count), None)
     if value is None:
         raise RecsetError(f"internal: no qualifying integer within {dfa.state_count} "
@@ -347,7 +347,7 @@ def cross_base_refute(set_p: RecognizableSet,
     kw = kronecker_witness(nw.m, ew.m, nw.a, nw.b, ew.a, ew.b, p, q)
     nf = set_p.normal_form
     # the least element >= m*p**depth with as many digits, depth = a + b*K
-    bound = encode(nw.m, p).digits + (0,) * (nw.a + nw.b * kw.k)
+    bound = encode(nw.m, p) + (0,) * (nw.a + nw.b * kw.k)
     element = next(_ordered_values(nf, nf.finals, bound, len(bound)), None)
     if element is None:
         raise RecsetError("internal: no accepted extension at certified depth")

@@ -110,7 +110,7 @@ def fan_out_cycles(primes=(2, 3, 5, 7, 11, 13)) -> RecognizableSet:
 
 def finite_set(values, base: int) -> RecognizableSet:
     """Trie automaton accepting exactly the given values."""
-    words = [encode(v, base).digits for v in sorted(set(values)) if v > 0]
+    words = [encode(v, base) for v in sorted(set(values)) if v > 0]
     states = {(): 0}
     transitions = {}
     finals = set()

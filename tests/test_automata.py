@@ -84,8 +84,9 @@ def test_accepts_on_example1():
     assert accepts(dfa, [1, 0, 1])
     assert not accepts(dfa, [1, 0])
     assert not accepts(dfa, [])
-    with pytest.raises(ValidationError):
-        accepts(dfa, [2])
+    for bad in ([2], [-1], [1, 0, 2]):
+        with pytest.raises(ValidationError):
+            accepts(dfa, bad)
 
 
 def test_accepts_empty_word_iff_initial_final():
@@ -378,7 +379,7 @@ def test_ordered_values_match_every_word(base, longest):
         max_len = rng.randint(first_len, longest)
         words = _words_into(dfa, targets, first_len, max_len)
         if words[first_len] and rng.random() < 0.5:  # a bound met with equality
-            bound = encode(rng.choice(words[first_len]), base).digits
+            bound = encode(rng.choice(words[first_len]), base)
         else:
             bound = (rng.randrange(1, base),) + tuple(rng.randrange(base) for _ in range(first_len - 1))
         low = sum(d * base**i for i, d in enumerate(reversed(bound)))

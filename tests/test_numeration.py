@@ -9,7 +9,6 @@ import time
 import pytest
 
 from recset import (
-    DigitWord,
     KroneckerWitness,
     PreconditionError,
     SearchCapExceededError,
@@ -24,16 +23,16 @@ from recset.numeration import IndependenceVerdict
 
 
 def test_encode_basics():
-    assert encode(6, 2).digits == (1, 1, 0)
-    assert encode(0, 5).digits == ()
-    assert encode(4, 2).digits == (1, 0, 0)
-    assert encode(255, 16).digits == (15, 15)
+    assert encode(6, 2) == (1, 1, 0)
+    assert encode(0, 5) == ()
+    assert encode(4, 2) == (1, 0, 0)
+    assert encode(255, 16) == (15, 15)
 
 
 def test_encode_is_canonical():
     for n in range(0, 2000, 7):
         for p in (2, 3, 10, 16):
-            assert encode(n, p).canonical
+            assert encode(n, p)[:1] != (0,)
 
 
 def test_encode_errors():
@@ -61,13 +60,13 @@ def test_long_encode_matches_the_digit_loop():
     cases += [(rng.getrandbits(rng.randint(1500, 20000)), rng.randint(2, 36)) for _ in range(40)]
     cases += [(7 * 5**4000 + 3 * 5**1999 + 2, 5), (2**3000 + 1, 2**2000 + 1)]
     for n, p in cases:
-        assert encode(n, p).digits == _loop_digits(n, p)
+        assert encode(n, p) == _loop_digits(n, p)
 
 
 def test_long_encode_is_not_quadratic():
     # the per-digit loop takes seconds on this number; splitting takes a fraction
     start = time.perf_counter()
-    assert encode(3**200_000 - 1, 3).digits == (2,) * 200_000
+    assert encode(3**200_000 - 1, 3) == (2,) * 200_000
     assert time.perf_counter() - start < 2
 
 
@@ -75,7 +74,7 @@ def test_decode_basics():
     assert decode([1, 0, 1], 2) == 5
     assert decode([0, 0, 7], 10) == 7
     assert decode([], 7) == 0
-    assert decode(DigitWord(2, (1, 1, 0)), 2) == 6
+    assert decode((1, 1, 0), 2) == 6
 
 
 def test_decode_errors():
@@ -83,8 +82,6 @@ def test_decode_errors():
         decode([2], 2)
     with pytest.raises(ValidationError):
         decode([1], 1)
-    with pytest.raises(ValidationError):
-        decode(DigitWord(3, (1,)), 2)
 
 
 def test_long_decode_splits_in_halves():
@@ -93,15 +90,21 @@ def test_long_decode_splits_in_halves():
     word = encode(n, 3)
     assert len(word) == 20_000
     assert decode(word, 3) == n
-    assert decode((0,) * 7_777 + word.digits, 3) == n
+    assert decode((0,) * 7_777 + word, 3) == n
     assert decode((1,) + (0,) * 9_999, 2) == 2**9_999
     for p in (2, 10, 36):
         m = p**3000 - 1
         assert decode(encode(m, p), p) == m
+    # a one-digit word in a base past the cutoff is not split again
+    P = 2**2000
+    assert decode([5], P) == 5
+    assert decode((1, 0), 2**1537) == 2**1537
+    for m in (5, 3 * P**2 + 5, P**5 - 1):
+        assert decode(encode(m, P), P) == m
 
 
 def test_long_decode_checks_every_digit():
-    digits = list(encode(3**20_000 - 1, 3).digits)
+    digits = list(encode(3**20_000 - 1, 3))
     for i in (0, 12_345, len(digits) - 1):
         bad = digits.copy()
         bad[i] = 3
@@ -124,16 +127,7 @@ def test_radix_order_preserved():
         p = rng.choice([2, 3, 10, 16])
         m, n = sorted(rng.sample(range(100_000), 2))
         wm, wn = encode(m, p), encode(n, p)
-        assert (len(wm), wm.digits) < (len(wn), wn.digits)
-
-
-def test_digit_word_validation():
-    with pytest.raises(ValidationError):
-        DigitWord(2, (0, 2))
-    with pytest.raises(ValidationError):
-        DigitWord(1, ())
-    assert not DigitWord(2, (0, 1)).canonical
-    assert DigitWord(2, ()).canonical
+        assert (len(wm), wm) < (len(wn), wn)
 
 
 def test_independence_dependent_pair():
