@@ -120,42 +120,36 @@ def accepts(dfa: Dfa, word) -> bool:
     return end is not None and end in dfa.finals
 
 
-def _reachable(dfa: Dfa, sources=None) -> list[int]:
-    """The states reachable from `sources` (default: the initial state), sources included.
+def _reachable(rows, sources) -> list[int]:
+    """The states reachable from `sources` along `rows`, sources included.
 
-    The one forward walk: breadth-first, digits ascending, so from the
-    initial state the order is the canonical layout.
+    The one graph walk.  `rows` maps a state to its targets, -1 skipped:
+    `dfa.rows` forward, `_predecessors` backward.  Breadth-first in row
+    order, so from the initial state along `dfa.rows` it is the canonical layout.
     """
-    queue = [dfa.initial] if sources is None else list(dict.fromkeys(sources))
+    queue = list(dict.fromkeys(sources))
     seen = set(queue)
     for s in queue:
-        for t in dfa.rows[s]:
+        for t in rows[s]:
             if t >= 0 and t not in seen:
                 seen.add(t)
                 queue.append(t)
     return queue
 
 
-def _coaccessible(dfa: Dfa, reach: list[int]) -> set[int]:
-    """The states of `reach`, closed under transitions, that can reach a final state."""
+def _predecessors(rows, reach) -> dict[int, list[int]]:
+    """The predecessors of each state of `reach`, a set of states closed under `rows`."""
     preds: dict[int, list[int]] = {s: [] for s in reach}
     for s in reach:
-        for t in dfa.rows[s]:
+        for t in rows[s]:
             if t >= 0:
                 preds[t].append(s)
-    seen = set(dfa.finals.intersection(reach))
-    stack = list(seen)
-    while stack:
-        for r in preds[stack.pop()]:
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
-    return seen
+    return preds
 
 
 def is_empty_language(dfa: Dfa) -> bool:
     """True iff the automaton accepts no word at all."""
-    return dfa.finals.isdisjoint(_reachable(dfa))
+    return dfa.finals.isdisjoint(_reachable(dfa.rows, [dfa.initial]))
 
 
 def _renumbered(dfa: Dfa, order: list[int]) -> Dfa:
@@ -178,7 +172,8 @@ def trim(dfa: Dfa) -> Dfa:
     already-trim automaton comes back unchanged.  Only reachable states are
     visited.
     """
-    keep = _coaccessible(dfa, _reachable(dfa))
+    reach = _reachable(dfa.rows, [dfa.initial])
+    keep = set(_reachable(_predecessors(dfa.rows, reach), dfa.finals.intersection(reach)))
     if dfa.initial not in keep:
         return empty_dfa(dfa.alphabet_size)
     return _renumbered(dfa, sorted(keep))
@@ -210,7 +205,7 @@ def minimize(dfa: Dfa) -> Dfa:
     is canonical, two automata recognize the same language iff their
     minimized forms are equal.
     """
-    reach = _reachable(dfa)
+    reach = _reachable(dfa.rows, [dfa.initial])
     if dfa.finals.isdisjoint(reach):
         return empty_dfa(dfa.alphabet_size)
     c = complete(_renumbered(dfa, reach))
@@ -250,7 +245,7 @@ def minimize(dfa: Dfa) -> Dfa:
     finals = {block_of[s] for s in c.finals}
     dead = {b for b, row in enumerate(rows) if b not in finals and row.count(b) == p}
     quotient = Dfa._from_rows(p, block_of[c.initial], finals, rows)
-    return _renumbered(quotient, [b for b in _reachable(quotient) if b not in dead])
+    return _renumbered(quotient, [b for b in _reachable(rows, [block_of[c.initial]]) if b not in dead])
 
 
 _PRODUCT_MODES = {
@@ -327,7 +322,7 @@ class RecognizableSet:
 
     def __post_init__(self):
         target = self.dfa.rows[self.dfa.initial][0]
-        if target >= 0 and not self.dfa.finals.isdisjoint(_reachable(self.dfa, [target])):
+        if target >= 0 and not self.dfa.finals.isdisjoint(_reachable(self.dfa.rows, [target])):
             raise ValidationError(
                 "automaton accepts a word with a leading zero; "
                 "apply restrict_to_canonical() or load leniently")
@@ -354,20 +349,20 @@ def member(s: RecognizableSet, n: int) -> bool:
 def _exact_depth_layers(dfa: Dfa, targets) -> Iterator[frozenset[int]]:
     """Layers r = 0, 1, 2, ...: the reachable states with a path of exactly r steps into `targets`.
 
-    Layer 0 is `targets` itself.  Only reachable states are scanned, so the
-    layers empty out exactly when finitely many words lead into `targets`.
-    Each layer is a function of the one before, so the sequence is periodic
-    from its first repeated layer on, and at most preperiod + period layers
-    are scanned; later ones are yielded again by reference.
+    Layer 0 is `targets` itself, and each layer steps to the reachable
+    predecessors of the one before, so the layers empty out exactly when
+    finitely many words lead into `targets`.  The sequence is periodic from
+    its first repeated layer on, and at most preperiod + period layers are
+    stepped; later ones are yielded again by reference.
     """
-    rows = [(s, dfa.rows[s]) for s in _reachable(dfa)]
+    preds = _predecessors(dfa.rows, _reachable(dfa.rows, [dfa.initial]))
     layer = frozenset(targets)
-    scanned: dict[frozenset[int], int] = {}
-    while layer not in scanned:
-        scanned[layer] = len(scanned)
+    stepped: dict[frozenset[int], int] = {}
+    while layer not in stepped:
+        stepped[layer] = len(stepped)
         yield layer
-        layer = frozenset(s for s, row in rows if any(t in layer for t in row))
-    yield from cycle(list(scanned)[scanned[layer]:])
+        layer = frozenset(s for t in layer for s in preds.get(t, ()))
+    yield from cycle(list(stepped)[stepped[layer]:])
 
 
 def _ordered_values(dfa: Dfa, targets, bound=(1,), max_len=None) -> Iterator[int]:
@@ -459,9 +454,9 @@ def right_dense(s: RecognizableSet) -> bool:
     firsts = dfa.rows[dfa.initial][1:]
     if -1 in firsts:
         return False
-    reach = _reachable(dfa, firsts)
+    reach = _reachable(dfa.rows, firsts)
     return (all(-1 not in dfa.rows[r] for r in reach)
-            and len(_coaccessible(dfa, reach)) == len(reach))
+            and len(_reachable(_predecessors(dfa.rows, reach), dfa.finals.intersection(reach))) == len(reach))
 
 
 def example1() -> RecognizableSet:

@@ -68,33 +68,38 @@ def _reduced(bits, a: int, period: int) -> UltimatePeriod:
 def _components(rows, sources) -> Iterator[list[int]]:
     """The strongly connected components of the states reachable from `sources`, successors first.
 
-    Tarjan's algorithm on an explicit stack, so no recursion: a component is
-    yielded only after every component it has a transition into.  Once its
-    component is out, a state's index becomes len(rows), above every low link.
+    Tarjan's algorithm on an explicit stack of [state, targets, low link]
+    frames, so no recursion: a component is yielded only after every
+    component it has a transition into.  Only visited states get an index;
+    it becomes len(rows), as -1's is, once their component is out, so
+    neither a finished state nor a missing target lowers a low link.
     """
-    n, count = len(rows), 0
-    index, low, stack = [-1] * n, [0] * n, []
+    n, stack, index = len(rows), [], {-1: len(rows)}
+    get = index.get
     for root in sources:
-        work = [(root, iter(rows[root]))] if index[root] < 0 else []
+        if root in index:
+            continue
+        index[root] = len(index)
+        stack.append(root)
+        work = [[root, iter(rows[root]), index[root]]]
         while work:
-            s, targets = work[-1]
-            if index[s] < 0:
-                index[s] = low[s] = count
-                count += 1
-                stack.append(s)
+            frame = work[-1]
+            s, targets, low = frame
             for t in targets:
-                if t < 0:
-                    continue
-                if index[t] < 0:
-                    work.append((t, iter(rows[t])))
+                i = get(t)
+                if i is None:
+                    frame[2] = low
+                    index[t] = i = len(index)
+                    stack.append(t)
+                    work.append([t, iter(rows[t]), i])
                     break
-                if index[t] < low[s]:
-                    low[s] = index[t]
+                if i < low:
+                    low = i
             else:
                 work.pop()
-                if work and low[s] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[s]
-                if low[s] == index[s]:
+                if work and low < work[-1][2]:
+                    work[-1][2] = low
+                if low == index[s]:
                     comp = [stack.pop()]
                     while comp[-1] != s:
                         comp.append(stack.pop())

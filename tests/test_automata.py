@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,7 @@ from recset import (
     trim,
 )
 from recset.automata import (
+    _exact_depth_layers,
     _ordered_values,
     _reachable,
     canonical_words_dfa,
@@ -485,13 +487,41 @@ def test_cycle_check_and_components_against_oracles(dfa):
     assert isinstance(verdict, Finite) != is_infinite_language(canonical)
     # the components partition the reachable states, successors first
     comps = list(_components(dfa.rows, [dfa.initial]))
-    reach = _reachable(dfa)
+    reach = _reachable(dfa.rows, [dfa.initial])
     assert sorted(s for comp in comps for s in comp) == sorted(reach)
     position = {s: i for i, comp in enumerate(comps) for s in comp}
     for s in reach:
-        assert set(_reachable(dfa, [s])) >= set(comps[position[s]])
+        assert set(_reachable(dfa.rows, [s])) >= set(comps[position[s]])
         for t in dfa.rows[s]:
             assert t < 0 or position[t] <= position[s]
+
+    def forward(d, sources):  # brute force over the (state, digit) -> state map
+        moves, seen, todo = d.transitions, set(sources), list(sources)
+        while todo:
+            s = todo.pop()
+            new = {t for (r, _), t in moves.items() if r == s} - seen
+            seen |= new
+            todo.extend(new)
+        return seen
+
+    # the backward walk: trim, right density and the exact-depth layers
+    reachable = forward(dfa, [dfa.initial])
+    live = {s for s in reachable if forward(dfa, [s]) & dfa.finals}
+    if dfa.initial in live:
+        assert trim(dfa).state_count == len(live)
+    else:
+        assert trim(dfa) == empty_dfa(dfa.alphabet_size)
+    # the untrimmed product is complete, so only co-accessibility can fail there
+    for d in canonical, product(dfa, canonical_words_dfa(dfa.alphabet_size), "intersection"):
+        firsts = d.rows[d.initial][1:]
+        dense = -1 not in firsts and all(
+            -1 not in d.rows[r] and forward(d, [r]) & d.finals for r in forward(d, firsts))
+        assert right_dense(RecognizableSet(d)) == dense
+    n, layer, scanned = dfa.state_count, frozenset(dfa.finals), []
+    for _ in range(2 * n + 2):
+        scanned.append(layer)
+        layer = frozenset(s for s in reachable if any(t in layer for t in dfa.rows[s]))
+    assert list(islice(_exact_depth_layers(dfa, dfa.finals), 2 * n + 2)) == scanned
 
 
 def test_example1_closed_form_prefix():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -236,7 +237,7 @@ def _blocked_dfas(draw):
 def test_component_engine_equals_the_forward_walk(case):
     dfa, sources = case
     profiles = _reachable_profiles(dfa, sources)
-    assert set(profiles) == set(_reachable(dfa, sources))
+    assert set(profiles) == set(_reachable(dfa.rows, sources))
     for state, prof in profiles.items():
         assert prof == walk_profile(dfa, state)
 
@@ -265,3 +266,16 @@ def test_component_engine_keeps_the_subset_cap(monkeypatch):
     with pytest.raises(SearchCapExceededError) as err:
         _reachable_profiles(dfa, [0])
     assert err.value.cap == 35
+
+
+def test_engine_allocates_for_visited_states_not_declared_ones():
+    # example1's rows in an automaton that declares a million states
+    dfa = Dfa(2, 1_000_000, 0, example1().dfa.finals, example1().dfa.transitions)
+    tracemalloc.start()
+    try:
+        prof = length_profile(dfa, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prof.period == 2
+    assert peak < 1 << 20
