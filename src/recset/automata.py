@@ -158,8 +158,8 @@ def _renumbered(dfa: Dfa, order: list[int]) -> Dfa:
     The initial state must be in `order`; transitions into other states
     become missing.
     """
-    new = {old: i for i, old in enumerate(order)}
-    rows = [tuple(new.get(t, -1) for t in dfa.rows[s]) for s in order]
+    new, missing = {old: i for i, old in enumerate(order)}, (-1,) * dfa.alphabet_size
+    rows = [tuple(map(new.get, dfa.rows[s], missing)) for s in order]
     return Dfa._from_rows(dfa.alphabet_size, new[dfa.initial],
                           [new[s] for s in dfa.finals if s in new], rows)
 
@@ -184,7 +184,8 @@ def complete(dfa: Dfa) -> Dfa:
     if dfa.is_complete:
         return dfa
     p, sink = dfa.alphabet_size, dfa.state_count
-    rows = [tuple(sink if t < 0 else t for t in row) for row in dfa.rows]
+    fill = {-1: sink}.get  # fill(t, t): the sink for -1, else t
+    rows = [tuple(map(fill, row, row)) for row in dfa.rows]
     rows.append((sink,) * p)
     return Dfa._from_rows(p, dfa.initial, dfa.finals, rows)
 
@@ -192,60 +193,60 @@ def complete(dfa: Dfa) -> Dfa:
 def minimize(dfa: Dfa) -> Dfa:
     """Canonical minimal trimmed automaton of the language.
 
-    Hopcroft's partition refinement runs on the completed reachable part.
-    It starts from {finals, non-finals} and a worklist of (block, digit)
-    splitters; the states with a digit-d step into the splitter block cut
-    every block they partly cover.  The smaller half of a cut block gets the
-    new block number and goes on the worklist for every digit: if the old
-    block was pending it still is, and either half serves as splitter once
-    the other has been used, so each state is in a splitter at most log2(n)
-    times per digit, O(n*p*log n) in all.  The states of empty language end
-    in one dead class, the non-final block whose digits all lead back to it;
-    it is dropped and the rest laid out by `_reachable`.  Because the result
-    is canonical, two automata recognize the same language iff their
-    minimized forms are equal.
+    Hopcroft's refinement runs on the reachable part, in `_reachable` order,
+    and a sink for the missing transitions.  It starts from {finals,
+    non-finals}, the smaller on the worklist.  A popped block splits, for
+    each digit, every block that the states with that step into it partly
+    cover.  The smaller part gets a new number and is pushed; the larger
+    keeps the old one, still pending if it was, and needs no turn of its own
+    once the smaller has had one.  So a state is only pushed in a part at
+    most half its block, is in at most log2(n) + 1 popped blocks, and each
+    transition is read once per pop of its target: O(n*p*log n).  The states
+    of empty language end in one dead class, a non-final block whose digits
+    all lead back to it, dropped before `_reachable` lays out the rest.  The
+    result is canonical: equal languages give equal minimized forms.
     """
     reach = _reachable(dfa.rows, [dfa.initial])
     if dfa.finals.isdisjoint(reach):
         return empty_dfa(dfa.alphabet_size)
-    c = complete(_renumbered(dfa, reach))
-    p, n = c.alphabet_size, c.state_count
-    preds: list[list[int]] = [[] for _ in range(p * n)]  # preds[d*n + t]: s with s -d-> t
-    for s, row in enumerate(c.rows):
-        for d, t in enumerate(row):
-            preds[d * n + t].append(s)
-    blocks = [set(c.finals), set(range(n)).difference(c.finals)]
-    block_of = [0 if s in c.finals else 1 for s in range(n)]
-    work = [(int(len(blocks[1]) < len(blocks[0])), d) for d in range(p)]
-    if not blocks[1]:
-        blocks.pop()
-        work = []
+    p, n = dfa.alphabet_size, len(reach) + 1
+    new = {old: i for i, old in enumerate(reach)}
+    new[-1] = n - 1
+    rows = [tuple(map(new.__getitem__, dfa.rows[s])) for s in reach] + [(n - 1,) * p]
+    preds = [[[] for _ in range(n)] for _ in range(p)]  # preds[d][t]: the s with s -d-> t
+    for pred, column in zip(preds, zip(*rows)):
+        for s, t in enumerate(column):
+            pred[t].append(s)
+    finals = {new[s] for s in dfa.finals if s in new}
+    blocks = [set(finals), set(range(n)).difference(finals)]
+    block_of = [0 if s in finals else 1 for s in range(n)]
+    work = [int(len(blocks[1]) < len(blocks[0]))]
     while work:
-        b, d = work.pop()
-        cut: dict[int, list[int]] = {}
-        for t in blocks[b]:
-            for s in preds[d * n + t]:
-                cut.setdefault(block_of[s], []).append(s)
-        for y, inside in cut.items():
-            whole = blocks[y]
-            if len(inside) == len(whole):
-                continue
-            if 2 * len(inside) <= len(whole):
-                small = set(inside)
-                whole -= small
-            else:
-                small = whole.difference(inside)
-                blocks[y] = set(inside)
-            new = len(blocks)
-            blocks.append(small)
-            for s in small:
-                block_of[s] = new
-            work.extend((new, e) for e in range(p))
-    rows = [tuple(block_of[t] for t in c.rows[next(iter(members))]) for members in blocks]
-    finals = {block_of[s] for s in c.finals}
+        splitter = list(blocks[work.pop()])
+        for pred in preds:
+            cut: dict[int, list[int]] = {}
+            for t in splitter:
+                for s in pred[t]:
+                    cut.setdefault(block_of[s], []).append(s)
+            for y, inside in cut.items():
+                whole = blocks[y]
+                if len(inside) == len(whole):
+                    continue
+                if 2 * len(inside) <= len(whole):
+                    small = set(inside)
+                    whole -= small
+                else:
+                    small = whole.difference(inside)
+                    blocks[y] = set(inside)
+                work.append(len(blocks))
+                for s in small:
+                    block_of[s] = len(blocks)
+                blocks.append(small)
+    rows = [tuple(map(block_of.__getitem__, rows[next(iter(members))])) for members in blocks]
+    finals = {block_of[s] for s in finals}
     dead = {b for b, row in enumerate(rows) if b not in finals and row.count(b) == p}
-    quotient = Dfa._from_rows(p, block_of[c.initial], finals, rows)
-    return _renumbered(quotient, [b for b in _reachable(rows, [block_of[c.initial]]) if b not in dead])
+    quotient = Dfa._from_rows(p, block_of[0], finals, rows)
+    return _renumbered(quotient, [b for b in _reachable(rows, [block_of[0]]) if b not in dead])
 
 
 _PRODUCT_MODES = {

@@ -9,6 +9,7 @@ errors go to stderr as a single line starting with "error: ".
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import sys
 
@@ -24,13 +25,7 @@ from .automata import (
 from .errors import PreconditionError, RecsetError, SearchCapExceededError, ValidationError
 from .fileformat import dumps_automaton, read_automaton, write_automaton
 from .lengths import cofinite_threshold, length_profile
-from .numeration import (
-    decode,
-    encode,
-    kronecker_witness,
-    mult_independent,
-    nested_chain,
-)
+from .numeration import decode, encode, kronecker_witness, mult_independent
 from .witnesses import (
     Finite,
     NotSyndetic,
@@ -78,6 +73,19 @@ def _witness_lines(w) -> None:
     print(f"a: {w.a}")
     print(f"b: {w.b}")
     print(f"state: {w.state}")
+
+
+def _chain_line(w, m: int, n: int, a: int, b: int, c: int, d: int, p: int, q: int) -> str:
+    """The chain line: the four ends `numeration.nested_chain` returns, in its order.
+
+    Each power is computed once, as an exact Decimal, whose text takes time
+    linear in its digits; str() of an int is quadratic before Python 3.12.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        big_p, big_q = decimal.Decimal(p) ** (a + b * w.k), decimal.Decimal(q) ** (c + d * w.ell)
+        return f"chain: {n * big_q} <= {m * big_p} < {(m + 1) * big_p} <= {(n + 1) * big_q}"
 
 
 def _cmd_encode(args) -> int:
@@ -166,12 +174,11 @@ def _cmd_syndetic(args) -> int:
 
 
 def _cmd_kronecker(args) -> int:
-    w = kronecker_witness(args.m, args.n, args.a, args.b, args.c, args.d, args.p, args.q)
-    lo_q, lo_p, hi_p, hi_q = nested_chain(w, args.m, args.n, args.a, args.b,
-                                          args.c, args.d, args.p, args.q)
+    params = args.m, args.n, args.a, args.b, args.c, args.d, args.p, args.q
+    w = kronecker_witness(*params)
     print(f"k: {w.k}")
     print(f"l: {w.ell}")
-    print(f"chain: {lo_q} <= {lo_p} < {hi_p} <= {hi_q}")
+    print(_chain_line(w, *params))
     return 0
 
 
@@ -203,15 +210,13 @@ def _cmd_refute(args) -> int:
               "no refutation of this shape exists (the sets may or may not be equal)")
         return 1
     nw, ew, kw = cert.base_p_witness, cert.base_q_witness, cert.kronecker
-    lo_q, lo_p, hi_p, hi_q = nested_chain(kw, nw.m, ew.m, nw.a, nw.b, ew.a, ew.b,
-                                          cert.base_p, cert.base_q)
     print("refuted: true")
     print(f"base_p: {cert.base_p}")
     print(f"base_q: {cert.base_q}")
     print(f"nonempty_witness: m={nw.m} a={nw.a} b={nw.b} state={nw.state}")
     print(f"empty_witness: m={ew.m} a={ew.a} b={ew.b} state={ew.state}")
     print(f"kronecker: K={kw.k} L={kw.ell}")
-    print(f"chain: {lo_q} <= {lo_p} < {hi_p} <= {hi_q}")
+    print(_chain_line(kw, nw.m, ew.m, nw.a, nw.b, ew.a, ew.b, cert.base_p, cert.base_q))
     print(f"element: {cert.element}")
     return 0
 

@@ -39,7 +39,8 @@ def document_from_set(s: RecognizableSet) -> dict:
         "state_count": s.dfa.state_count,
         "initial": s.dfa.initial,
         "finals": sorted(s.dfa.finals),
-        "transitions": [[src, d, dst] for (src, d), dst in s.dfa.transitions.items()],
+        "transitions": [[src, d, dst] for src, row in enumerate(s.dfa.rows)
+                        for d, dst in enumerate(row) if dst >= 0],
         "contains_zero": s.contains_zero,
     }
 

@@ -24,7 +24,7 @@ from .errors import (
     SearchCapExceededError,
     ValidationError,
 )
-from .lengths import UltimatePeriod, _reachable_profiles, cofinite_threshold, length_profile
+from .lengths import UltimatePeriod, _reachable_profiles, cofinite_threshold
 from .numeration import (
     KroneckerWitness,
     encode,
@@ -156,18 +156,19 @@ def verify_interval_witness(s: RecognizableSet, w: IntervalWitness) -> bool:
 
     The digits of m must reach w.state in the set's normal form, and w.state
     must accept a word of length a+b*k (nonempty kind) or none (empty kind).
-    These bits are read off w.state's length profile, from the recurrence the
-    witness searches use too: past the preperiod the depths a+b*k repeat once
-    k has run through period/gcd(b, period) values, whatever the sizes of a
-    and b.  A recurrence past `lengths.DEFAULT_SUBSET_CAP` depths raises
-    SearchCapExceededError.
+    That walk makes w.state qualifying, so its profile is read from the set's
+    table of qualifying profiles, which the searches read too: past the
+    preperiod the depths a+b*k repeat once k has run through
+    period/gcd(b, period) values, whatever the sizes of a and b.  A table
+    past `lengths.DEFAULT_SUBSET_CAP` depths raises SearchCapExceededError,
+    even where w.state's own part is not; no search returns a witness there.
     """
     if w.m < 1 or w.a < 1 or w.b < 1:
         return False
     dfa = s.normal_form
     if dfa.walk(dfa.initial, encode(w.m, s.base)) != w.state:
         return False
-    prof = length_profile(dfa, w.state)
+    prof = _qualifying_profiles(s)[w.state]
     want = w.kind == "nonempty"
     pre, period = prof.preperiod, prof.period
     strides = -(-max(0, pre - w.a) // w.b) + period // math.gcd(w.b, period)
@@ -175,16 +176,18 @@ def verify_interval_witness(s: RecognizableSet, w: IntervalWitness) -> bool:
 
 
 def _qualifying_profiles(s: RecognizableSet) -> dict[int, UltimatePeriod]:
-    """Length profile of every qualifying state of the set's normal form.
+    """Length profile of every qualifying state of the set's normal form, computed once per set.
 
     Qualifying states are those reachable by a path whose first digit is
     nonzero.  On the completed normal form these are exactly the states
     reached by the digits of some positive integer; paths of the original
     automaton that die mid-word land in the sink, which therefore qualifies
-    too.
+    too.  Kept in the set's instance dict, as `normal_form` is; a cap error is not.
     """
-    dfa = s.normal_form
-    return _reachable_profiles(dfa, dfa.rows[dfa.initial][1:])
+    if (profiles := s.__dict__.get("_qualifying_profiles")) is None:
+        dfa = s.normal_form
+        profiles = s.__dict__["_qualifying_profiles"] = _reachable_profiles(dfa, dfa.rows[dfa.initial][1:])
+    return profiles
 
 
 def _is_infinite(profiles: dict[int, UltimatePeriod]) -> bool:
@@ -316,10 +319,11 @@ def cross_base_refute(set_p: RecognizableSet,
 
     Returns None when the second automaton has no empty interval family;
     that is NOT a proof that the sets are equal, only that no refutation of
-    this shape exists.  Both sets are profiled before any search, and a
-    finite one, read off its qualifying profiles, raises FiniteSetError.
-    A set whose recurrence passes `lengths.DEFAULT_SUBSET_CAP` raises
-    SearchCapExceededError only after that check and the empty-family search,
+    this shape exists.  Both sets are profiled once, before any search, and
+    the searches and verifiers read those tables; a finite set, read off its
+    qualifying profiles, raises FiniteSetError.  A set whose recurrence
+    passes `lengths.DEFAULT_SUBSET_CAP` has its SearchCapExceededError held
+    back and raised unchanged after that check and the empty-family search,
     if its profiles are still needed.  The cap hides no finite set below
     2**20 normal-form states: its qualifying components are the sink and
     single states without a loop, whose recurrences have lcm 1 and stop

@@ -57,6 +57,17 @@ def test_dumps_is_deterministic_and_parseable():
     assert doc == document_from_set(example1())
 
 
+def test_document_triples_follow_the_transition_map_order(corpus):
+    # read straight off the rows, in the (state, digit) order of `Dfa.transitions`;
+    # the partial automaton has a state without transitions and rows with gaps
+    partial = Dfa(3, 5, 2, {0}, [[4, 2, 0], [2, 1, 4], [0, 0, 0], [2, 0, 3]])
+    sets = [*corpus.values(), RecognizableSet(partial)]
+    sets += [RecognizableSet(minimize(s.dfa)) for s in sets]
+    for s in sets:
+        expected = [[src, d, dst] for (src, d), dst in s.dfa.transitions.items()]
+        assert document_from_set(s)["transitions"] == expected
+
+
 def test_document_shape():
     doc = document_from_set(example1())
     assert doc["format_version"] == 1

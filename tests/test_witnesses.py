@@ -48,6 +48,7 @@ from conftest import (
     random_recognizable_sets,
     scan_elements,
     subset_step,
+    walk_profile,
 )
 
 
@@ -371,6 +372,54 @@ def test_minimize_runs_at_most_once_per_set(monkeypatch, call):
     assert sum(d is set_q.dfa for d in inputs) <= 1
 
 
+@ENTRY_POINTS
+def test_profiles_run_at_most_once_per_set(monkeypatch, call):
+    # the searches and the verifiers all read one table of qualifying profiles per set
+    set_p, set_q = full_set(3), example1()
+    inputs = _record_calls(monkeypatch, "_reachable_profiles", "lengths")
+    assert call(set_p, set_q) is not None
+    forms = (set_p.normal_form, set_q.normal_form)
+    assert inputs
+    assert all(any(d is nf for nf in forms) for d in inputs)
+    assert all(sum(d is nf for d in inputs) <= 1 for nf in forms)
+
+
+def test_verifier_on_a_fresh_set_accepts_found_witnesses_and_rejects_tampered_ones(corpus):
+    # a fresh set has no profile table yet: the verifier builds it and reads w.state's row
+    from dataclasses import replace
+    rejected = dict.fromkeys(("m", "a", "b", "state"), 0)
+    for s in corpus.values():
+        nf = s.normal_form
+        for w in filter(None, (nonempty_interval_witness(s), empty_interval_witness(s))):
+            assert verify_interval_witness(RecognizableSet(s.dfa, s.contains_zero), w)
+            prof = walk_profile(nf, w.state)
+            wrong = [n for n in range(1, w.a + prof.period + 1) if prof.bit(n) != (w.kind == "nonempty")]
+            tampered = {"state": [replace(w, state=(w.state + 1) % nf.state_count)],
+                        "a": [replace(w, a=n) for n in wrong[:1]],
+                        "b": [replace(w, b=n - w.a) for n in wrong if n > w.a][:1],
+                        "m": [replace(w, m=m) for m in range(1, 100)
+                              if nf.walk(nf.initial, encode(m, s.base)) != w.state][:1]}
+            for field, bad in tampered.items():
+                for b in bad:
+                    assert not verify_interval_witness(RecognizableSet(s.dfa, s.contains_zero), b), b
+                    rejected[field] += 1
+    assert all(rejected.values()), rejected
+
+
+def test_verifier_profiles_the_whole_qualifying_table():
+    # m = 10 reaches the entry of the 2-cycle, whose own profile has period 2, but
+    # the qualifying table holds the fan-out state, whose lengths recur only after
+    # lcm(2..19) depths, past the cap.  No search returns this witness: each reads
+    # that same table
+    from recset import IntervalWitness
+    s = prime_cycles(primes=(2, 3, 5, 7, 11, 13, 17, 19), fan_out=True)
+    nf = s.normal_form
+    state = nf.walk(nf.initial, encode(10, 10))
+    assert length_profile(nf, state).period == 2
+    with pytest.raises(SearchCapExceededError):
+        verify_interval_witness(s, IntervalWitness(10, 2, 2, state, "nonempty"))
+
+
 @pytest.mark.parametrize("call", [
     *DECISIONS.values(),
     lambda p, q: minimize(p.dfa),
@@ -411,14 +460,14 @@ def test_qualifying_profiles_take_no_single_state_walk(monkeypatch):
 def test_prime_cycles_are_profiled_one_component_at_a_time(monkeypatch):
     # one pass over all seven cycles together would run lcm(2..17) = 510510 depths;
     # `_min_period` receives each pass's whole history of vectors.  The decision
-    # profiles the seven cycles, then the verifier profiles its witness's cycle
+    # profiles the seven cycles once, and the verifier reads the same table
     histories = _record_calls(monkeypatch, "_min_period", "lengths")
     s = prime_cycles()
     verdict = syndetic_decide(s)
     assert isinstance(verdict, NotSyndetic)
     lengths_seen = [len(h) for h in histories]
     assert sorted(lengths_seen[:7]) == [2, 3, 5, 7, 11, 13, 17]
-    assert lengths_seen[7:] == [length_profile(s.normal_form, verdict.witness.state).period]
+    assert len(lengths_seen) == 7
 
 
 @pytest.mark.parametrize("last_prime", [19, 29])
