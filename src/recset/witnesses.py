@@ -157,9 +157,10 @@ def verify_interval_witness(s: RecognizableSet, w: IntervalWitness) -> bool:
     The digits of m must reach w.state in the set's normal form, and w.state
     must accept a word of length a+b*k (nonempty kind) or none (empty kind).
     That walk makes w.state qualifying, so its profile is read from the set's
-    table of qualifying profiles, which the searches read too: past the
-    preperiod the depths a+b*k repeat once k has run through
-    period/gcd(b, period) values, whatever the sizes of a and b.  A table
+    table of qualifying profiles: past the preperiod the depths a+b*k repeat
+    once k has run through period/gcd(b, period) values, whatever the sizes
+    of a and b.  The searches read that same table, so this checks the walk
+    and the bits a+b*k, not the recurrence that built the table.  A table
     past `lengths.DEFAULT_SUBSET_CAP` depths raises SearchCapExceededError,
     even where w.state's own part is not; no search returns a witness there.
     """
@@ -205,11 +206,13 @@ def _is_infinite(profiles: dict[int, UltimatePeriod]) -> bool:
 
 def _witness(s: RecognizableSet, profiles: dict[int, UltimatePeriod], kind: str,
              m_min: int) -> IntervalWitness | None:
-    """Least-m witness of the given kind, exactly re-checked; None if no state qualifies.
+    """Least-m witness of the given kind, re-checked; None if no state qualifies.
 
     The target states are those whose length set holds infinitely many lengths
     (nonempty kind) or misses infinitely many (empty kind); a is the first such
-    length past the state's preperiod and b its period.
+    length past the state's preperiod and b its period.  The re-check reads
+    `profiles` too, so it checks the walk and the choice of a and b, not the
+    engine behind the profiles.
     """
     bit = 1 if kind == "nonempty" else 0
     targets = frozenset(st for st, prof in profiles.items() if bit in prof.cycle_bits)
