@@ -15,6 +15,7 @@ from itertools import chain, cycle, islice
 from typing import Iterator
 
 from .errors import ValidationError
+from .lengths import UltimatePeriod, _reachable_profiles
 from .numeration import decode, encode
 
 
@@ -337,6 +338,17 @@ class RecognizableSet:
     def normal_form(self) -> Dfa:
         """The completed canonical minimal automaton; every witness `state` refers to it."""
         return complete(minimize(self.dfa))
+
+    @cached_property
+    def profiles(self) -> dict[int, UltimatePeriod]:
+        """Length profile of each qualifying state of `normal_form`, computed once per set.
+
+        A state qualifies when the digits of some positive integer reach it,
+        so the sink does when digit paths of `dfa` die mid-word.  A cap error
+        is raised on every read: a cached property keeps no failed value.
+        """
+        nf = self.normal_form
+        return _reachable_profiles(nf, nf.rows[nf.initial][1:])
 
 
 def member(s: RecognizableSet, n: int) -> bool:

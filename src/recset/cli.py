@@ -75,15 +75,21 @@ def _witness_lines(w) -> None:
     print(f"state: {w.state}")
 
 
-def _chain_line(w, m: int, n: int, a: int, b: int, c: int, d: int, p: int, q: int) -> str:
-    """The chain line: the four ends of `nested_chain`, computed as exact Decimals.
+def _exact_decimals():
+    """A decimal context for integer arithmetic that is exact or raises Inexact.
 
     A Decimal's text takes time linear in its digits; str() of an int is
     quadratic before Python 3.12.
     """
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
+    ctx = decimal.getcontext().copy()
+    ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+    ctx.traps[decimal.Inexact] = True
+    return decimal.localcontext(ctx)
+
+
+def _chain_line(w, m: int, n: int, a: int, b: int, c: int, d: int, p: int, q: int) -> str:
+    """The chain line: the four ends of `nested_chain`, computed as exact Decimals."""
+    with _exact_decimals():
         ends = nested_chain(w, m, n, a, b, c, d, decimal.Decimal(p), decimal.Decimal(q))
         return "chain: {} <= {} < {} <= {}".format(*ends)
 
@@ -188,7 +194,8 @@ def _cmd_indep(args) -> int:
         print("independent")
         return 0
     k, ell = verdict.dependence_witness
-    print(f"dependent: {args.p}^{k} = {args.q}^{ell} = {args.p**k}")
+    with _exact_decimals():
+        print(f"dependent: {args.p}^{k} = {args.q}^{ell} = {decimal.Decimal(args.p) ** k}")
     return 1
 
 

@@ -2,27 +2,28 @@
 
 For a state s, the length set is { |w| : w drives s into a final state }; its
 indicator sequence is ultimately periodic.  One recurrence computes it:
-`_reachable_profiles` runs bit_s(r) = OR over digits d of bit_delta(s,d)(r - 1)
-over the states reachable from some sources, one strongly connected component
-at a time, successors first (`_components`), and reduces each profile to
-minimal (preperiod, period) form.  `length_profile`, the syndeticity decision
-and its finiteness test, the witness searches and the witness verifier all
-read it.
+`_records` runs bit_s(r) = OR over digits d of bit_delta(s,d)(r - 1) over the
+states reachable from some sources, one strongly connected component at a
+time, successors first (`_components`).  `_reachable_profiles` reduces every
+state's bits to minimal (preperiod, period) form, for the set's one table,
+`RecognizableSet.profiles`; `length_profile` reduces only its own state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .automata import Dfa
 from .errors import SearchCapExceededError, ValidationError
 
 # The most depths one component's recurrence may run.  Each depth holds a vector
 # and a (vector, depth mod lcm) key: 190 bytes for a one-state component on 64-bit
 # CPython (tracemalloc, 97 MB at 510 510 depths), so 2**20 depths stay near 200 MB.
 DEFAULT_SUBSET_CAP = 1 << 20
+
+if TYPE_CHECKING:
+    from .automata import Dfa
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,10 @@ def _min_period(seq, a: int, window: int) -> int:
                 and all(seq[a + i] == seq[a + (i + c) % window] for i in range(window)))
 
 
-def _reduced(bits, a: int, period: int) -> UltimatePeriod:
-    """The minimal profile of bits, known to have `period` as its least period from a on."""
+def _reduced(record) -> UltimatePeriod:
+    """The minimal profile of one state, from its raw record (see `_records`)."""
+    vectors, i, a, period = record
+    bits = [w >> i & 1 for w in vectors]
     pre = a
     while pre > 0 and bits[pre - 1] == bits[pre - 1 + period]:
         pre -= 1
@@ -108,14 +111,15 @@ def _components(rows, sources) -> Iterator[list[int]]:
                     yield comp
 
 
-def _component_vectors(dfa: Dfa, comp: list[int], profiles: dict):
-    """(vectors, a, period) of one strongly connected component, its successors profiled.
+def _component_vectors(dfa: Dfa, comp: list[int], records: dict):
+    """(vectors, a, period) of one strongly connected component, its successors' records known.
 
-    Bit i of v(r) says whether comp[i] accepts a length-r word.  Past every
-    exit's preperiod the exit bits depend only on r mod the lcm of the exit
-    periods, so the sequence recurs once (v(r), r mod lcm) repeats.  All
-    states of a component share one minimal period: each length set holds a
-    shift of every other one.  `vectors` runs up to v(a + period - 1).  A
+    Bit i of v(r) says whether comp[i] accepts a length-r word.  An exit's
+    record (vectors, i, a, period) gives its bit r as bit i of vectors[r] below
+    a and of vectors[a + (r - a) % period] from a on, so past the largest exit
+    a the sequence recurs once (v(r), r mod the lcm of exit periods) repeats.
+    All states of a component share one minimal period: each length set holds
+    a shift of every other one.  `vectors` runs up to v(a + period - 1).  A
     recurrence past DEFAULT_SUBSET_CAP depths raises SearchCapExceededError.
     """
     local = {s: i for i, s in enumerate(comp)}
@@ -128,9 +132,9 @@ def _component_vectors(dfa: Dfa, comp: list[int], profiles: dict):
                 preds[j] |= bit
             elif t >= 0:
                 exits[t] = exits.get(t, 0) | bit
-    outside = [(profiles[t], mask) for t, mask in exits.items()]
-    settled = max((prof.preperiod for prof, _ in outside), default=0)
-    lcm = math.lcm(*(prof.period for prof, _ in outside))
+    outside = [(*records[t], mask) for t, mask in exits.items()]
+    settled = max((start for _, _, start, _, _ in outside), default=0)
+    lcm = math.lcm(*(cycle for _, _, _, cycle, _ in outside))
     # no key can repeat before depth settled + lcm: stop at once if that is past the cap
     stop = 0 if settled + lcm > DEFAULT_SUBSET_CAP else DEFAULT_SUBSET_CAP
     v = sum(1 << i for i, s in enumerate(comp) if s in dfa.finals)
@@ -143,8 +147,8 @@ def _component_vectors(dfa: Dfa, comp: list[int], profiles: dict):
             seen[v, r % lcm] = r
         vectors.append(v)
         nxt = 0
-        for prof, mask in outside:
-            if prof.bit(r):
+        for ws, i, start, cycle, mask in outside:
+            if ws[r if r < start else start + (r - start) % cycle] >> i & 1:
                 nxt |= mask
         while v:  # the predecessors of every set bit
             low = v & -v
@@ -156,40 +160,25 @@ def _component_vectors(dfa: Dfa, comp: list[int], profiles: dict):
     return vectors[:a + period], a, period
 
 
-class _Profiles(dict):
-    """Length profiles by state, each reduced from its component's vectors when first read."""
-
-    def __init__(self):
-        super().__init__()
-        self.pending = {}
-
-    def __missing__(self, s):
-        vectors, i, a, period = self.pending.pop(s)
-        prof = self[s] = _reduced([w >> i & 1 for w in vectors], a, period)
-        return prof
-
-
-def _reachable_profiles(dfa: Dfa, sources, every: bool = True) -> dict[int, UltimatePeriod]:
-    """Length profile of every state reachable from `sources`, sources included.
-
-    With every=False each is reduced only when read: by the caller, or by a
-    component with an edge into it.
-    """
-    profiles = _Profiles()
+def _records(dfa: Dfa, sources) -> dict:
+    """The raw record (vectors, i, a, period) of every state reachable from `sources`."""
+    records = {}
     for comp in _components(dfa.rows, sources):
-        vectors, a, period = _component_vectors(dfa, comp, profiles)
-        profiles.pending.update((s, (vectors, i, a, period)) for i, s in enumerate(comp))
-        if every:
-            for s in comp:
-                profiles[s]  # a read: __missing__ reduces it
-    return profiles
+        vectors, a, period = _component_vectors(dfa, comp, records)
+        records.update((s, (vectors, i, a, period)) for i, s in enumerate(comp))
+    return records
+
+
+def _reachable_profiles(dfa: Dfa, sources) -> dict[int, UltimatePeriod]:
+    """Length profile of every state reachable from `sources`, sources included."""
+    return {s: _reduced(record) for s, record in _records(dfa, sources).items()}
 
 
 def length_profile(dfa: Dfa, state: int) -> UltimatePeriod:
     """Ultimately periodic profile of the lengths accepted from `state`, by one engine run."""
     if not 0 <= state < dfa.state_count:
         raise ValidationError(f"state {state} out of range")
-    return _reachable_profiles(dfa, [state], every=False)[state]
+    return _reduced(_records(dfa, [state])[state])
 
 
 def cofinite_threshold(profile: UltimatePeriod) -> int | None:

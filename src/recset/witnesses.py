@@ -24,7 +24,7 @@ from .errors import (
     SearchCapExceededError,
     ValidationError,
 )
-from .lengths import UltimatePeriod, _reachable_profiles, cofinite_threshold
+from .lengths import UltimatePeriod, cofinite_threshold
 from .numeration import (
     KroneckerWitness,
     encode,
@@ -157,38 +157,23 @@ def verify_interval_witness(s: RecognizableSet, w: IntervalWitness) -> bool:
     The digits of m must reach w.state in the set's normal form, and w.state
     must accept a word of length a+b*k (nonempty kind) or none (empty kind).
     That walk makes w.state qualifying, so its profile is read from the set's
-    table of qualifying profiles: past the preperiod the depths a+b*k repeat
-    once k has run through period/gcd(b, period) values, whatever the sizes
-    of a and b.  The searches read that same table, so this checks the walk
-    and the bits a+b*k, not the recurrence that built the table.  A table
-    past `lengths.DEFAULT_SUBSET_CAP` depths raises SearchCapExceededError,
-    even where w.state's own part is not; no search returns a witness there.
+    table, `s.profiles`: past the preperiod the depths a+b*k repeat once k
+    has run through period/gcd(b, period) values, whatever the sizes of a
+    and b.  The searches read that same table, so this checks the walk and
+    the bits a+b*k, not the recurrence that built the table.  A table past
+    `lengths.DEFAULT_SUBSET_CAP` depths raises SearchCapExceededError, even
+    where w.state's own part is not; no search returns a witness there.
     """
     if w.m < 1 or w.a < 1 or w.b < 1:
         return False
     dfa = s.normal_form
     if dfa.walk(dfa.initial, encode(w.m, s.base)) != w.state:
         return False
-    prof = _qualifying_profiles(s)[w.state]
+    prof = s.profiles[w.state]
     want = w.kind == "nonempty"
     pre, period = prof.preperiod, prof.period
     strides = -(-max(0, pre - w.a) // w.b) + period // math.gcd(w.b, period)
     return all(prof.bit(w.a + w.b * k) == want for k in range(strides))
-
-
-def _qualifying_profiles(s: RecognizableSet) -> dict[int, UltimatePeriod]:
-    """Length profile of every qualifying state of the set's normal form, computed once per set.
-
-    Qualifying states are those reachable by a path whose first digit is
-    nonzero.  On the completed normal form these are exactly the states
-    reached by the digits of some positive integer; paths of the original
-    automaton that die mid-word land in the sink, which therefore qualifies
-    too.  Kept in the set's instance dict, as `normal_form` is; a cap error is not.
-    """
-    if (profiles := s.__dict__.get("_qualifying_profiles")) is None:
-        dfa = s.normal_form
-        profiles = s.__dict__["_qualifying_profiles"] = _reachable_profiles(dfa, dfa.rows[dfa.initial][1:])
-    return profiles
 
 
 def _is_infinite(profiles: dict[int, UltimatePeriod]) -> bool:
@@ -204,22 +189,21 @@ def _is_infinite(profiles: dict[int, UltimatePeriod]) -> bool:
     return any(1 in prof.cycle_bits for prof in profiles.values())
 
 
-def _witness(s: RecognizableSet, profiles: dict[int, UltimatePeriod], kind: str,
-             m_min: int) -> IntervalWitness | None:
+def _witness(s: RecognizableSet, kind: str, m_min: int) -> IntervalWitness | None:
     """Least-m witness of the given kind, re-checked; None if no state qualifies.
 
-    The target states are those whose length set holds infinitely many lengths
-    (nonempty kind) or misses infinitely many (empty kind); a is the first such
-    length past the state's preperiod and b its period.  The re-check reads
-    `profiles` too, so it checks the walk and the choice of a and b, not the
-    engine behind the profiles.
+    The target states are the qualifying states (`s.profiles`) whose length
+    set holds infinitely many lengths (nonempty kind) or misses infinitely
+    many (empty kind); a is the first such length past the state's preperiod
+    and b its period.  The re-check reads `s.profiles` too, so it checks the
+    walk and the choice of a and b, not the engine behind the table.
     """
     bit = 1 if kind == "nonempty" else 0
-    targets = frozenset(st for st, prof in profiles.items() if bit in prof.cycle_bits)
+    targets = frozenset(st for st, prof in s.profiles.items() if bit in prof.cycle_bits)
     if not targets:
         return None
     value, state = _min_value_path(s.normal_form, targets, m_min)
-    prof = profiles[state]
+    prof = s.profiles[state]
     w = IntervalWitness(value, _first_bit_past_preperiod(prof, bit), prof.period, state, kind)
     if not verify_interval_witness(s, w):
         raise RecsetError(f"internal: generated witness {w} fails its exact check")
@@ -237,7 +221,7 @@ def nonempty_interval_witness(s: RecognizableSet, m_min: int = 1) -> IntervalWit
     """
     if m_min < 1:
         raise PreconditionError(f"m_min must be >= 1, got {m_min}")
-    w = _witness(s, _qualifying_profiles(s), "nonempty", m_min)
+    w = _witness(s, "nonempty", m_min)
     if w is None:
         raise FiniteSetError("the set is finite: no nonempty interval family exists")
     return w
@@ -252,10 +236,9 @@ def empty_interval_witness(s: RecognizableSet) -> IntervalWitness | None:
     exactly, for every k, before being returned.  A finite set, read off the
     same qualifying profiles, raises FiniteSetError.
     """
-    profiles = _qualifying_profiles(s)
-    if not _is_infinite(profiles):
+    if not _is_infinite(s.profiles):
         raise FiniteSetError("the set is finite: use a direct scan instead")
-    return _witness(s, profiles, "empty", 1)
+    return _witness(s, "empty", 1)
 
 
 def syndetic_decide(s: RecognizableSet) -> SyndeticVerdict:
@@ -272,10 +255,10 @@ def syndetic_decide(s: RecognizableSet) -> SyndeticVerdict:
       per-state threshold: every positive n then has an element of the set in
       [n*p**C, (n+1)*p**C), so any interval of length 2*p**C meets the set.
     """
-    profiles = _qualifying_profiles(s)
+    profiles = s.profiles
     if not _is_infinite(profiles):
         return Finite()
-    w = _witness(s, profiles, "empty", 1)
+    w = _witness(s, "empty", 1)
     if w is not None:
         return NotSyndetic(w)
     thresholds = {st: cofinite_threshold(profiles[st]) for st in sorted(profiles)}
@@ -322,35 +305,33 @@ def cross_base_refute(set_p: RecognizableSet,
 
     Returns None when the second automaton has no empty interval family;
     that is NOT a proof that the sets are equal, only that no refutation of
-    this shape exists.  Both sets are profiled once, before any search, and
-    the searches and verifiers read those tables; a finite set, read off its
-    qualifying profiles, raises FiniteSetError.  A set whose recurrence
-    passes `lengths.DEFAULT_SUBSET_CAP` has its SearchCapExceededError held
-    back and raised unchanged after that check and the empty-family search,
-    if its profiles are still needed.  The cap hides no finite set below
+    this shape exists.  Each set's table, `RecognizableSet.profiles`, is
+    built once, before any search, and the searches and verifiers read it; a
+    finite set, read off that table, raises FiniteSetError.  A set whose
+    recurrence passes `lengths.DEFAULT_SUBSET_CAP` has its
+    SearchCapExceededError held back and raised unchanged after that check
+    and the empty-family search, if its profiles are still needed.  The cap hides no finite set below
     2**20 normal-form states: its qualifying components are the sink and
     single states without a loop, whose recurrences have lcm 1 and stop
     within the state count.
     """
     p, q = set_p.base, set_q.base
     require_independent(p, q)
-    profiles = []
-    for s in (set_p, set_q):
+    held = [None, None]
+    for i, s in enumerate((set_p, set_q)):
         try:
-            profiles.append(_qualifying_profiles(s))
+            if not _is_infinite(s.profiles):
+                raise FiniteSetError("both sets must be infinite")
         except SearchCapExceededError as error:
-            profiles.append(error)
-    if any(isinstance(prof, dict) and not _is_infinite(prof) for prof in profiles):
-        raise FiniteSetError("both sets must be infinite")
-    profiles_p, profiles_q = profiles
-    if isinstance(profiles_q, SearchCapExceededError):
-        raise profiles_q
-    ew = _witness(set_q, profiles_q, "empty", 1)
+            held[i] = error
+    if held[1]:
+        raise held[1]
+    ew = _witness(set_q, "empty", 1)
     if ew is None:
         return None
-    if isinstance(profiles_p, SearchCapExceededError):
-        raise profiles_p
-    nw = _witness(set_p, profiles_p, "nonempty", ew.m + 1)
+    if held[0]:
+        raise held[0]
+    nw = _witness(set_p, "nonempty", ew.m + 1)
     kw = kronecker_witness(nw.m, ew.m, nw.a, nw.b, ew.a, ew.b, p, q)
     nf = set_p.normal_form
     # the least element >= m*p**depth with as many digits, depth = a + b*K

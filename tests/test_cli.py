@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -198,6 +199,18 @@ def test_indep_outputs(capsys):
     code, out, _ = run(capsys, "indep", "4", "8")
     assert code == 1
     assert "4^3 = 8^2" in out
+
+
+def test_indep_prints_a_high_dependent_power_in_linear_time(capsys):
+    # 2^(2000*1999) has 1 203 518 digits: str() of that int takes seconds before Python 3.12
+    p, q = 2**2000, 2**1999
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "indep", str(p), str(q))
+    elapsed = time.perf_counter() - start
+    prefix = f"dependent: {p}^1999 = {q}^2000 = "
+    assert code == 1 and out.startswith(prefix) and out.endswith("\n")
+    assert len(out) - len(prefix) - 1 == 1_203_518
+    assert elapsed < 2
 
 
 def test_gaps_output(capsys, files):

@@ -489,6 +489,17 @@ def test_qualifying_profiles_keep_the_subset_cap(last_prime):
     assert peak < 2 << 20
 
 
+def test_a_cap_error_is_never_kept(monkeypatch):
+    s = example1()
+    monkeypatch.setattr(lengths, "DEFAULT_SUBSET_CAP", 1)
+    with pytest.raises(SearchCapExceededError):
+        s.profiles
+    assert "profiles" not in s.__dict__
+    monkeypatch.undo()
+    assert s.profiles == example1().profiles
+    assert "profiles" in s.__dict__
+
+
 def test_verifier_reads_the_witness_state_profile(capsys, tmp_path):
     # every profile has period 1, while the subsets reached from the fan-out
     # state recur only after lcm(2..29) = 6 469 693 230 digits: the verifier
