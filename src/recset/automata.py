@@ -451,7 +451,8 @@ def enumerate_elements(s: RecognizableSet, limit: int) -> list[int]:
     """The first `limit` elements in increasing order (all of them if fewer exist)."""
     if limit < 0:
         raise ValidationError(f"limit must be >= 0, got {limit}")
-    return list(islice(iter_elements(s), limit))
+    # no list holds more than sys.maxsize items, and islice takes no larger stop
+    return list(islice(iter_elements(s), min(limit, sys.maxsize)))
 
 
 def right_dense(s: RecognizableSet) -> bool:

@@ -21,10 +21,9 @@ from .errors import (
     InsufficientDataError,
     PreconditionError,
     RecsetError,
-    SearchCapExceededError,
     ValidationError,
 )
-from .lengths import UltimatePeriod, cofinite_threshold
+from .lengths import UltimatePeriod, _components, cofinite_threshold
 from .numeration import (
     KroneckerWitness,
     encode,
@@ -176,17 +175,21 @@ def verify_interval_witness(s: RecognizableSet, w: IntervalWitness) -> bool:
     return all(prof.bit(w.a + w.b * k) == want for k in range(strides))
 
 
-def _is_infinite(profiles: dict[int, UltimatePeriod]) -> bool:
-    """Is the set infinite?  True iff some qualifying state has a 1 among its cycle bits.
+def _is_infinite(s: RecognizableSet) -> bool:
+    """Is the set infinite?  True iff a cycle of the normal form follows a nonzero first digit.
 
-    Each length has finitely many words, so an infinite set has elements of
-    infinitely many lengths.  One digit shorter, these lengths are accepted
-    by the targets of the initial state's nonzero digits, which qualify, so
-    one of them accepts infinitely many lengths.  Conversely, the digits that
-    reach a qualifying state with infinitely many accepted lengths extend to
-    elements of infinitely many lengths.
+    An infinite set has words of unbounded length, which run round a cycle.
+    Conversely every state of the normal form but the dead class (the
+    non-final state whose every digit leads back to it) reaches a final
+    state, so a cycle outside it extends to elements of unbounded length.
+    The Tarjan walk reads no length profile, so no cap applies.
     """
-    return any(1 in prof.cycle_bits for prof in profiles.values())
+    nf = s.normal_form
+    rows = nf.rows
+    for st, *rest in _components(rows, rows[nf.initial][1:]):
+        if rest or st in rows[st] and (st in nf.finals or set(rows[st]) != {st}):
+            return True
+    return False
 
 
 def _witness(s: RecognizableSet, kind: str, m_min: int) -> IntervalWitness | None:
@@ -217,14 +220,13 @@ def nonempty_interval_witness(s: RecognizableSet, m_min: int = 1) -> IntervalWit
     infinitely many accepted lengths; a is the least accepted length past that
     state's preperiod and b its period.  The witness is re-verified exactly,
     for every k, before being returned.  Such a state exists exactly when the
-    set is infinite, which is read off the same qualifying profiles.
+    set is infinite, which `_is_infinite` checks before any profile is read.
     """
     if m_min < 1:
         raise PreconditionError(f"m_min must be >= 1, got {m_min}")
-    w = _witness(s, "nonempty", m_min)
-    if w is None:
+    if not _is_infinite(s):
         raise FiniteSetError("the set is finite: no nonempty interval family exists")
-    return w
+    return _witness(s, "nonempty", m_min)
 
 
 def empty_interval_witness(s: RecognizableSet) -> IntervalWitness | None:
@@ -233,10 +235,10 @@ def empty_interval_witness(s: RecognizableSet) -> IntervalWitness | None:
     Exists iff some qualifying state of the set's normal form misses
     infinitely many lengths; returns None when every qualifying state's length
     set is cofinite (then no such family exists).  The witness is re-verified
-    exactly, for every k, before being returned.  A finite set, read off the
-    same qualifying profiles, raises FiniteSetError.
+    exactly, for every k, before being returned.  A finite set, found by
+    `_is_infinite` before any profile is read, raises FiniteSetError.
     """
-    if not _is_infinite(s.profiles):
+    if not _is_infinite(s):
         raise FiniteSetError("the set is finite: use a direct scan instead")
     return _witness(s, "empty", 1)
 
@@ -244,8 +246,9 @@ def empty_interval_witness(s: RecognizableSet) -> IntervalWitness | None:
 def syndetic_decide(s: RecognizableSet) -> SyndeticVerdict:
     """Decide whether the set has bounded gaps between consecutive elements.
 
-    Every qualifying state of the set's normal form is profiled.  No cycle
-    bit 1 among them means a finite set, the Finite verdict.  Otherwise:
+    A finite set, found by `_is_infinite` on the normal form's cycles, gets
+    the Finite verdict and runs no length engine.  Otherwise every qualifying
+    state of the normal form is profiled, and:
 
     - some state misses infinitely many lengths -> NotSyndetic, with an empty
       interval family whose interval lengths grow without bound (the set is
@@ -255,9 +258,9 @@ def syndetic_decide(s: RecognizableSet) -> SyndeticVerdict:
       per-state threshold: every positive n then has an element of the set in
       [n*p**C, (n+1)*p**C), so any interval of length 2*p**C meets the set.
     """
-    profiles = s.profiles
-    if not _is_infinite(profiles):
+    if not _is_infinite(s):
         return Finite()
+    profiles = s.profiles
     w = _witness(s, "empty", 1)
     if w is not None:
         return NotSyndetic(w)
@@ -305,32 +308,19 @@ def cross_base_refute(set_p: RecognizableSet,
 
     Returns None when the second automaton has no empty interval family;
     that is NOT a proof that the sets are equal, only that no refutation of
-    this shape exists.  Each set's table, `RecognizableSet.profiles`, is
-    built once, before any search, and the searches and verifiers read it; a
-    finite set, read off that table, raises FiniteSetError.  A set whose
-    recurrence passes `lengths.DEFAULT_SUBSET_CAP` has its
-    SearchCapExceededError held back and raised unchanged after that check
-    and the empty-family search, if its profiles are still needed.  The cap hides no finite set below
-    2**20 normal-form states: its qualifying components are the sink and
-    single states without a loop, whose recurrences have lcm 1 and stop
-    within the state count.
+    this shape exists.  A finite set, found by `_is_infinite` on either side
+    before any profile is read, raises FiniteSetError.  Each set's table,
+    `RecognizableSet.profiles`, is first read by its search, the second
+    set's before the first's, so a table past `lengths.DEFAULT_SUBSET_CAP`
+    raises SearchCapExceededError only when that set's profiles are needed.
     """
     p, q = set_p.base, set_q.base
     require_independent(p, q)
-    held = [None, None]
-    for i, s in enumerate((set_p, set_q)):
-        try:
-            if not _is_infinite(s.profiles):
-                raise FiniteSetError("both sets must be infinite")
-        except SearchCapExceededError as error:
-            held[i] = error
-    if held[1]:
-        raise held[1]
+    if not (_is_infinite(set_p) and _is_infinite(set_q)):
+        raise FiniteSetError("both sets must be infinite")
     ew = _witness(set_q, "empty", 1)
     if ew is None:
         return None
-    if held[0]:
-        raise held[0]
     nw = _witness(set_p, "nonempty", ew.m + 1)
     kw = kronecker_witness(nw.m, ew.m, nw.a, nw.b, ew.a, ew.b, p, q)
     nf = set_p.normal_form

@@ -30,6 +30,7 @@ from recset import (
     syndetic_decide,
     trim,
 )
+from recset import witnesses
 from recset.automata import (
     _exact_depth_layers,
     _ordered_values,
@@ -345,6 +346,10 @@ def test_enumerate_empty_and_finite():
     assert enumerate_elements(finite_set({5}, 3), 0) == []
 
 
+def test_enumerate_takes_a_limit_past_the_largest_list():
+    assert enumerate_elements(finite_set({0, 3, 9}, 2), 2**64) == [0, 3, 9]
+
+
 def test_enumerate_matches_scan_on_random_sets():
     sets = random_recognizable_sets(404, 6, require_infinite=False)
     for s in sets + random_recognizable_sets(405, 6, bases=(5, 10), require_infinite=False):
@@ -481,10 +486,13 @@ def _cyclic_dfas(draw) -> Dfa:
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_cyclic_dfas())
 def test_cycle_check_and_components_against_oracles(dfa):
-    # the decision reads finiteness off the qualifying profiles of the set
+    # the decision reads finiteness off the normal form's cycles; the qualifying
+    # profiles' cycle bits give the same answer by another route
     canonical = restrict_to_canonical(dfa)
-    verdict = syndetic_decide(RecognizableSet(canonical))
+    s = RecognizableSet(canonical)
+    verdict = syndetic_decide(s)
     assert isinstance(verdict, Finite) != is_infinite_language(canonical)
+    assert witnesses._is_infinite(s) == any(1 in p.cycle_bits for p in s.profiles.values())
     # the components partition the reachable states, successors first
     comps = list(_components(dfa.rows, [dfa.initial]))
     reach = _reachable(dfa.rows, [dfa.initial])

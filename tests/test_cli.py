@@ -65,6 +65,11 @@ def test_enum_output(capsys, files):
     assert out.split() == ["1", "4", "5", "6", "7", "16", "17"]
 
 
+def test_enum_takes_a_limit_past_the_largest_list(capsys, files):
+    code, out, _ = run(capsys, "enum", files["finite"], str(2**64))
+    assert (code, out) == (0, "1\n2\n3\n")
+
+
 def test_right_dense_true_false(capsys, files):
     assert run(capsys, "right-dense", files["example1"])[:2] == (0, "true\n")
     assert run(capsys, "right-dense", files["powers2"])[:2] == (1, "false\n")

@@ -447,6 +447,43 @@ def test_finite_sets_read_off_the_profiles(s):
         empty_interval_witness(s)
 
 
+def _numbers_of_length(length: int) -> RecognizableSet:
+    """The binary numbers with exactly `length` digits: a path of length + 1 states."""
+    transitions = {(0, 1): 1}
+    transitions.update({(i, d): i + 1 for i in range(1, length) for d in (0, 1)})
+    return RecognizableSet(Dfa(2, length + 1, 0, frozenset({length}), transitions))
+
+
+def test_finiteness_never_meets_the_cap(monkeypatch):
+    # the 20-digit numbers' profile table runs 20 depths, past a cap of 8; finiteness
+    # is read off the normal form's cycles, so no decision builds that table
+    fin, nat3 = _numbers_of_length(20), full_set(3)
+    monkeypatch.setattr(lengths, "DEFAULT_SUBSET_CAP", 8)
+    passes = _record_calls(monkeypatch, "_reachable_profiles", "lengths")
+    assert syndetic_decide(fin) == Finite()
+    with pytest.raises(FiniteSetError, match="^the set is finite: no nonempty interval family exists$"):
+        nonempty_interval_witness(fin)
+    with pytest.raises(FiniteSetError, match="^the set is finite: use a direct scan instead$"):
+        empty_interval_witness(fin)
+    for pair in (nat3, fin), (fin, nat3):
+        with pytest.raises(FiniteSetError, match="^both sets must be infinite$"):
+            cross_base_refute(*pair)
+    assert passes == []
+
+
+def test_a_long_finite_set_runs_no_length_engine():
+    # the engine would hold about L**2/2 vectors on this path of L = 3000 states
+    s = _numbers_of_length(3000)
+    s.normal_form
+    tracemalloc.start()
+    try:
+        assert syndetic_decide(s) == Finite()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 def test_qualifying_profiles_take_no_single_state_walk(monkeypatch):
     # 2001 qualifying states share one component, profiled in one pass that
     # reduces each of them once; no single-state profile runs beside it
