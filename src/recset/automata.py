@@ -295,15 +295,12 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
             and is_empty_language(product(d2, d1, "difference")))
 
 
-def canonical_words_dfa(alphabet_size: int) -> Dfa:
-    """The language of words with no leading zero (the empty word included)."""
-    rows = [(-1,) + (1,) * (alphabet_size - 1), (1,) * alphabet_size]
-    return Dfa._from_rows(alphabet_size, 0, (0, 1), rows)
-
-
 def restrict_to_canonical(dfa: Dfa) -> Dfa:
-    """Intersect with the canonical-word language and trim the result."""
-    return trim(product(dfa, canonical_words_dfa(dfa.alphabet_size), "intersection"))
+    """The accepted words with no leading zero: a fresh start numbered `state_count`,
+    final iff the old start is, reads the old start's nonzero digits; nothing else changes."""
+    finals = dfa.finals | {dfa.state_count} if dfa.initial in dfa.finals else dfa.finals
+    fresh = (-1,) + dfa.rows[dfa.initial][1:]
+    return Dfa._from_rows(dfa.alphabet_size, dfa.state_count, finals, dfa.rows + (fresh,))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ One JSON object per automaton:
 
 Strict loading (the default) rejects unknown fields and automata accepting a
 word with a leading zero; lenient loading tolerates unknown fields and repairs
-leading-zero acceptance by intersecting with the canonical-word language.
+leading-zero acceptance with a fresh start state, numbered `state_count`, that
+reads only the old start's nonzero digits; every document state keeps its number.
 """
 
 from __future__ import annotations

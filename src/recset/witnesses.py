@@ -276,11 +276,9 @@ def gap_scan(s: RecognizableSet, horizon: int) -> GapScanResult:
     best = 0
     positions: list[tuple[int, int]] = []
     prev = None
-    count = 0
     for x in iter_elements(s):
         if x > horizon:
             break
-        count += 1
         if prev is not None:
             gap = x - prev
             if gap > best:
@@ -289,7 +287,7 @@ def gap_scan(s: RecognizableSet, horizon: int) -> GapScanResult:
             elif gap == best:
                 positions.append((prev, x))
         prev = x
-    if count < 2:
+    if not positions:  # every gap is at least 1, so two elements give a pair
         raise InsufficientDataError(
             f"fewer than two elements are <= {horizon}; no gaps to report")
     return GapScanResult(best, tuple(positions))

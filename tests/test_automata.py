@@ -35,7 +35,6 @@ from recset.automata import (
     _exact_depth_layers,
     _ordered_values,
     _reachable,
-    canonical_words_dfa,
     empty_dfa,
     is_empty_language,
 )
@@ -302,11 +301,29 @@ def test_product_alphabet_mismatch():
         product(example1().dfa, example1().dfa, "xor")
 
 
+def _canonical_words(p: int) -> Dfa:
+    """Every word with no leading zero, the empty word included."""
+    return restrict_to_canonical(Dfa(p, 1, 0, {0}, {(0, d): 0 for d in range(p)}))
+
+
 def test_union_with_complement_gives_all_canonical_words():
     d = example1().dfa
-    canon = canonical_words_dfa(2)
+    canon = _canonical_words(2)
     complement = product(canon, d, "difference")
     assert equivalent(product(d, complement, "union"), canon)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_dfas())
+def test_restrict_to_canonical_adds_only_a_fresh_start(d):
+    # the old route, the trimmed intersection with the canonical words, is the
+    # oracle; those are written out here, not built by restrict_to_canonical
+    p = d.alphabet_size
+    moves = {(0, x): 1 for x in range(1, p)} | {(1, x): 1 for x in range(p)}
+    canon = Dfa(p, 2, 0, {0, 1}, moves)
+    r = restrict_to_canonical(d)
+    assert r.rows[:d.state_count] == d.rows
+    assert equivalent(r, trim(product(d, canon, "intersection")))
 
 
 def test_equivalent_basics():
@@ -520,7 +537,7 @@ def test_cycle_check_and_components_against_oracles(dfa):
     else:
         assert trim(dfa) == empty_dfa(dfa.alphabet_size)
     # the untrimmed product is complete, so only co-accessibility can fail there
-    for d in canonical, product(dfa, canonical_words_dfa(dfa.alphabet_size), "intersection"):
+    for d in canonical, product(dfa, _canonical_words(dfa.alphabet_size), "intersection"):
         firsts = d.rows[d.initial][1:]
         dense = -1 not in firsts and all(
             -1 not in d.rows[r] and forward(d, [r]) & d.finals for r in forward(d, firsts))

@@ -272,6 +272,36 @@ def test_strict_vs_lenient_loading(capsys, tmp_path):
     assert (code, out) == (0, "true\n")
 
 
+# accepts "0", so only lenient loading takes it; state 0 reads "0" and "10"
+_LEADING_ZERO_DOC = {
+    "format_version": 1, "base": 2, "state_count": 4, "initial": 0,
+    "finals": [1, 3], "contains_zero": False,
+    "transitions": [[0, 0, 1], [0, 1, 2], [2, 0, 3]],
+}
+
+
+@pytest.mark.parametrize("state, lines", [
+    (0, ["preperiod: 3", "period: 1", "head: [0,1,1]", "cycle: [0]"]),
+    (1, ["preperiod: 1", "period: 1", "head: [1]", "cycle: [0]"]),
+    (3, ["preperiod: 1", "period: 1", "head: [1]", "cycle: [0]"]),
+    (4, ["preperiod: 3", "period: 1", "head: [0,0,1]", "cycle: [0]"]),  # the fresh start
+])
+def test_lenient_loading_keeps_the_document_state_numbers(capsys, tmp_path, state, lines):
+    path = tmp_path / "lz.aut"
+    path.write_text(json.dumps(_LEADING_ZERO_DOC))
+    code, out, _ = run(capsys, "profile", str(path), str(state), "--lenient")
+    assert (code, out) == (0, "\n".join(lines + ["cofinite_threshold: absent"]) + "\n")
+
+
+def test_lenient_trim_lists_document_states_before_the_fresh_start(capsys, tmp_path):
+    path = tmp_path / "lz.aut"
+    path.write_text(json.dumps(_LEADING_ZERO_DOC))
+    code, out, _ = run(capsys, "trim", str(path), "--lenient")
+    assert code == 0
+    assert '  "initial": 2,\n' in out
+    assert '  "transitions": [[0,0,1],[2,1,0]]\n' in out
+
+
 def test_output_determinism(capsys, files):
     first = run(capsys, "syndetic", files["mult3b2"])
     second = run(capsys, "syndetic", files["mult3b2"])
