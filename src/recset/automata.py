@@ -15,7 +15,7 @@ from itertools import chain, cycle, islice
 from typing import Iterator
 
 from .errors import ValidationError
-from .lengths import UltimatePeriod, _reachable_profiles
+from .lengths import UltimatePeriod, _components, _reachable_profiles
 from .numeration import decode, encode
 
 
@@ -337,15 +337,38 @@ class RecognizableSet:
         return complete(minimize(self.dfa))
 
     @cached_property
+    def _qualifying(self) -> list[list[int]]:
+        """The strongly connected components of the qualifying states of `normal_form`, successors first.
+
+        A state qualifies when the digits of some positive integer reach it,
+        so the sink does when digit paths of `dfa` die mid-word.  One Tarjan
+        walk per set, which `_is_infinite` and `profiles` both read.
+        """
+        nf = self.normal_form
+        return list(_components(nf.rows, nf.rows[nf.initial][1:]))
+
+    @cached_property
     def profiles(self) -> dict[int, UltimatePeriod]:
         """Length profile of each qualifying state of `normal_form`, computed once per set.
 
-        A state qualifies when the digits of some positive integer reach it,
-        so the sink does when digit paths of `dfa` die mid-word.  A cap error
-        is raised on every read: a cached property keeps no failed value.
+        The engine runs over the components of `_qualifying`.  A cap error is
+        raised on every read: a cached property keeps no failed value.
         """
-        nf = self.normal_form
-        return _reachable_profiles(nf, nf.rows[nf.initial][1:])
+        return _reachable_profiles(self.normal_form, self._qualifying)
+
+
+def _is_infinite(s: RecognizableSet) -> bool:
+    """Is the set infinite?  True iff a cycle of the normal form follows a nonzero first digit.
+
+    An infinite set has words of unbounded length, which run round a cycle.
+    Conversely every state of the normal form but the dead class (the
+    non-final state whose every digit leads back to it) reaches a final
+    state, so a cycle outside it extends to elements of unbounded length.
+    The walk is `s._qualifying`, which reads no length profile, so no cap applies.
+    """
+    rows, finals = s.normal_form.rows, s.normal_form.finals
+    return any(rest or st in rows[st] and (st in finals or set(rows[st]) != {st})
+               for st, *rest in s._qualifying)
 
 
 def member(s: RecognizableSet, n: int) -> bool:

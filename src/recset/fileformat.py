@@ -113,7 +113,10 @@ def loads_automaton(text: str, *, strict: bool = True) -> RecognizableSet:
 
 
 def write_automaton(path, s: RecognizableSet) -> None:
-    Path(path).write_text(dumps_automaton(s), encoding="utf-8")
+    try:
+        Path(path).write_text(dumps_automaton(s), encoding="utf-8")
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e}") from e
 
 
 def read_automaton(path, *, strict: bool = True) -> RecognizableSet:

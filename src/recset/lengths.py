@@ -2,10 +2,10 @@
 
 For a state s, the length set is { |w| : w drives s into a final state }; its
 indicator sequence is ultimately periodic.  One recurrence computes it:
-`_records` runs bit_s(r) = OR over digits d of bit_delta(s,d)(r - 1) over the
-states reachable from some sources, one strongly connected component at a
-time, successors first (`_components`).  `_reachable_profiles` reduces every
-state's bits to minimal (preperiod, period) form, for the set's one table,
+`_records` runs bit_s(r) = OR over digits d of bit_delta(s,d)(r - 1) one
+strongly connected component at a time, over the components it is given,
+successors first (`_components`).  `_reachable_profiles` reduces every state's
+bits to minimal (preperiod, period) form, for the set's one table,
 `RecognizableSet.profiles`; `length_profile` reduces only its own state.
 """
 
@@ -160,25 +160,25 @@ def _component_vectors(dfa: Dfa, comp: list[int], records: dict):
     return vectors[:a + period], a, period
 
 
-def _records(dfa: Dfa, sources) -> dict:
-    """The raw record (vectors, i, a, period) of every state reachable from `sources`."""
+def _records(dfa: Dfa, comps) -> dict:
+    """The raw record (vectors, i, a, period) of every state of `comps`, as `_components` yields them."""
     records = {}
-    for comp in _components(dfa.rows, sources):
+    for comp in comps:
         vectors, a, period = _component_vectors(dfa, comp, records)
         records.update((s, (vectors, i, a, period)) for i, s in enumerate(comp))
     return records
 
 
-def _reachable_profiles(dfa: Dfa, sources) -> dict[int, UltimatePeriod]:
-    """Length profile of every state reachable from `sources`, sources included."""
-    return {s: _reduced(record) for s, record in _records(dfa, sources).items()}
+def _reachable_profiles(dfa: Dfa, comps) -> dict[int, UltimatePeriod]:
+    """Length profile of every state of `comps`, components as `_components` yields them."""
+    return {s: _reduced(record) for s, record in _records(dfa, comps).items()}
 
 
 def length_profile(dfa: Dfa, state: int) -> UltimatePeriod:
     """Ultimately periodic profile of the lengths accepted from `state`, by one engine run."""
     if not 0 <= state < dfa.state_count:
         raise ValidationError(f"state {state} out of range")
-    return _reduced(_records(dfa, [state])[state])
+    return _reduced(_records(dfa, _components(dfa.rows, [state]))[state])
 
 
 def cofinite_threshold(profile: UltimatePeriod) -> int | None:

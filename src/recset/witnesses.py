@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .automata import Dfa, RecognizableSet, _ordered_values, iter_elements, member
+from .automata import Dfa, RecognizableSet, _is_infinite, _ordered_values, iter_elements, member
 from .errors import (
     FiniteSetError,
     InsufficientDataError,
@@ -23,7 +23,7 @@ from .errors import (
     RecsetError,
     ValidationError,
 )
-from .lengths import UltimatePeriod, _components, cofinite_threshold
+from .lengths import cofinite_threshold
 from .numeration import (
     KroneckerWitness,
     encode,
@@ -142,14 +142,6 @@ def _min_value_path(dfa: Dfa, targets, min_value: int) -> tuple[int, int]:
     return value, dfa.walk(dfa.initial, encode(value, dfa.alphabet_size))
 
 
-def _first_bit_past_preperiod(profile: UltimatePeriod, wanted: int) -> int:
-    """Least n strictly past the preperiod with bit(n) == wanted."""
-    for n in range(profile.preperiod + 1, profile.preperiod + profile.period + 1):
-        if profile.bit(n) == wanted:
-            return n
-    raise RecsetError("internal: requested bit value does not occur in the cycle")
-
-
 def verify_interval_witness(s: RecognizableSet, w: IntervalWitness) -> bool:
     """Re-check a witness against its set, exactly and for every k.
 
@@ -175,23 +167,6 @@ def verify_interval_witness(s: RecognizableSet, w: IntervalWitness) -> bool:
     return all(prof.bit(w.a + w.b * k) == want for k in range(strides))
 
 
-def _is_infinite(s: RecognizableSet) -> bool:
-    """Is the set infinite?  True iff a cycle of the normal form follows a nonzero first digit.
-
-    An infinite set has words of unbounded length, which run round a cycle.
-    Conversely every state of the normal form but the dead class (the
-    non-final state whose every digit leads back to it) reaches a final
-    state, so a cycle outside it extends to elements of unbounded length.
-    The Tarjan walk reads no length profile, so no cap applies.
-    """
-    nf = s.normal_form
-    rows = nf.rows
-    for st, *rest in _components(rows, rows[nf.initial][1:]):
-        if rest or st in rows[st] and (st in nf.finals or set(rows[st]) != {st}):
-            return True
-    return False
-
-
 def _witness(s: RecognizableSet, kind: str, m_min: int) -> IntervalWitness | None:
     """Least-m witness of the given kind, re-checked; None if no state qualifies.
 
@@ -206,8 +181,9 @@ def _witness(s: RecognizableSet, kind: str, m_min: int) -> IntervalWitness | Non
     if not targets:
         return None
     value, state = _min_value_path(s.normal_form, targets, m_min)
-    prof = s.profiles[state]
-    w = IntervalWitness(value, _first_bit_past_preperiod(prof, bit), prof.period, state, kind)
+    prof = s.profiles[state]  # bit(preperiod + j) is cycle_bits[j % period]
+    a = prof.preperiod + 1 + (prof.cycle_bits[1:] + prof.cycle_bits[:1]).index(bit)
+    w = IntervalWitness(value, a, prof.period, state, kind)
     if not verify_interval_witness(s, w):
         raise RecsetError(f"internal: generated witness {w} fails its exact check")
     return w

@@ -355,6 +355,14 @@ def test_malformed_documents_exit_2(capsys, tmp_path, content, message):
     assert err.startswith(message.format(path=path)) and err.count("\n") == 1
 
 
+def test_an_out_path_that_cannot_be_written_exits_2(capsys, tmp_path):
+    # a missing directory and a directory itself: these exited 4 with an internal error
+    for path in (tmp_path / "missing" / "x.aut", tmp_path):
+        code, out, err = run(capsys, "example1", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_no_subcommand_takes_a_cap(capsys, files):
     # the witness searches are exact and the Kronecker cap is a fixed constant
     for argv in (["witness-nonempty", files["example1"]], ["witness-empty", files["example1"]],

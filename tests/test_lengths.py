@@ -22,7 +22,7 @@ from recset import (
 )
 from recset.automata import _reachable
 from recset import lengths
-from recset.lengths import _reachable_profiles
+from recset.lengths import _components, _reachable_profiles
 from conftest import full_set, multiples_of, random_dfa, subset_step, walk_profile
 
 
@@ -239,7 +239,7 @@ def _blocked_dfas(draw):
                                            (2, 0): 1, (2, 1): 2}), [0]))
 def test_component_engine_equals_the_forward_walk(case):
     dfa, sources = case
-    profiles = _reachable_profiles(dfa, sources)
+    profiles = _reachable_profiles(dfa, _components(dfa.rows, sources))
     assert set(profiles) == set(_reachable(dfa.rows, sources))
     for state, prof in profiles.items():
         assert prof == walk_profile(dfa, state)
@@ -264,10 +264,10 @@ def test_component_engine_keeps_the_subset_cap(monkeypatch):
     transitions.update({(5 + j, d): 5 + (j + 1) % 7 for j in range(7) for d in (0, 1)})
     dfa = Dfa(2, 12, 0, frozenset({5}), transitions)
     monkeypatch.setattr(lengths, "DEFAULT_SUBSET_CAP", 36)
-    assert _reachable_profiles(dfa, [0])[0] == walk_profile(dfa, 0)
+    assert _reachable_profiles(dfa, _components(dfa.rows, [0]))[0] == walk_profile(dfa, 0)
     monkeypatch.setattr(lengths, "DEFAULT_SUBSET_CAP", 35)
     with pytest.raises(SearchCapExceededError) as err:
-        _reachable_profiles(dfa, [0])
+        _reachable_profiles(dfa, _components(dfa.rows, [0]))
     assert err.value.cap == 35
 
 

@@ -232,16 +232,26 @@ def _coinfinite(prof):
 
 
 def test_witness_m_is_minimal_against_brute_force():
+    def check_a_and_b(s, w):
+        # b is the state's period, a the least length past its preperiod of the kind's bit
+        prof = walk_profile(complete(minimize(s.dfa)), w.state)
+        assert w.b == prof.period
+        bit = 1 if w.kind == "nonempty" else 0
+        assert w.a == next(n for n in range(prof.preperiod + 1, prof.preperiod + prof.period + 1)
+                           if prof.bit(n) == bit)
+
     cases = [(example1(), 1), (example1(), 3), (multiples_of(3, 2), 1),
              (multiples_of(3, 2), 7), (powers_of_two(), 1), (powers_of_two(), 5)]
     cases += [(s, m) for s in random_recognizable_sets(1001, 8) for m in (1, 4)]
     for s, m_min in cases:
         w = nonempty_interval_witness(s, m_min)
         assert w.m == _brute_first_m(s, m_min, _infinite)
+        check_a_and_b(s, w)
     for s in [example1(), powers_of_two()] + random_recognizable_sets(1002, 8):
         w = empty_interval_witness(s)
         if w is not None:
             assert w.m == _brute_first_m(s, 1, _coinfinite)
+            check_a_and_b(s, w)
 
 
 @st.composite
@@ -382,6 +392,18 @@ def test_profiles_run_at_most_once_per_set(monkeypatch, call):
     assert inputs
     assert all(any(d is nf for nf in forms) for d in inputs)
     assert all(sum(d is nf for d in inputs) <= 1 for nf in forms)
+
+
+@ENTRY_POINTS
+def test_components_run_at_most_once_per_set(monkeypatch, call):
+    # finiteness and the profile table read one walk of each set's qualifying components
+    set_p, set_q = full_set(3), example1()
+    inputs = _record_calls(monkeypatch, "_components", "lengths")
+    assert call(set_p, set_q) is not None
+    forms = (set_p.normal_form.rows, set_q.normal_form.rows)
+    assert inputs
+    assert all(any(rows is r for r in forms) for rows in inputs)
+    assert all(sum(rows is r for rows in inputs) <= 1 for r in forms)
 
 
 def test_verifier_on_a_fresh_set_accepts_found_witnesses_and_rejects_tampered_ones(corpus):
