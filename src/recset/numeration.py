@@ -17,30 +17,20 @@ _LOOP_BITS = 1536  # encode and decode keep the per-digit loop up to here: split
 
 
 def encode(n: int, p: int) -> tuple[int, ...]:
-    """Canonical base-p digits of n, most significant first; 0 encodes as the empty word."""
+    """Canonical base-p digits of n, most significant first, () for 0; long numbers split in halves."""
     if p < 2:
         raise ValidationError(f"base must be >= 2, got {p}")
     if n < 0:
         raise ValidationError(f"cannot encode negative integer {n}")
-    powers = [p]  # p**(2**j) for j = 0, 1, ..., up to n when n is long
-    while n.bit_length() > _LOOP_BITS and (square := powers[-1] ** 2) <= n:
-        powers.append(square)
-    return tuple(_digits(n, p, powers, 0))
-
-
-def _digits(n: int, p: int, powers: list[int], pad: int) -> list[int]:
-    """Base-p digits of n zero-padded to pad; n < powers[-1]**2 past _LOOP_BITS bits splits."""
-    if not powers or n.bit_length() <= _LOOP_BITS:
-        digits = []
-        while n:
-            n, d = divmod(n, p)
-            digits.append(d)
-        return [0] * (pad - len(digits)) + digits[::-1]
-    width = 1 << (len(powers) - 1)  # powers[-1] = p**width
-    hi, lo = divmod(n, powers[-1])
-    if not hi:
-        return _digits(lo, p, powers[:-1], pad)
-    return _digits(hi, p, powers[:-1], pad - width) + _digits(lo, p, powers[:-1], width)
+    if n.bit_length() > _LOOP_BITS and (half := n.bit_length() // (2 * (p - 1).bit_length())):
+        hi, lo = divmod(n, p**half)
+        low = encode(lo, p)
+        return encode(hi, p) + (0,) * (half - len(low)) + low
+    digits = []
+    while n:
+        n, d = divmod(n, p)
+        digits.append(d)
+    return tuple(digits[::-1])
 
 
 def decode(w, p: int) -> int:
@@ -152,8 +142,8 @@ def kronecker_witness(m: int, n: int, a: int, b: int, c: int, d: int,
     of the about 15 roundings behind an end (logarithms, int to float, products,
     sums, one division) errs by at most 2**-52*S, S = 1 + t + a*log p + log(m+1) +
     log(n+1), so widening both ends by 2**-40*S, over 250 times their sum, skips
-    no integer k.  Only the k left in the widened bracket are checked, in exact
-    integer arithmetic: the floats only narrow the search and never decide.
+    no integer k.  `verify_kronecker` checks only the k left in the widened bracket,
+    in exact integers: the floats only narrow the search and never decide.
     Termination is guaranteed for independent bases; DEFAULT_KRONECKER_CAP bounds l
     as a safety valve only, and a search past it raises SearchCapExceededError.
     """
@@ -173,8 +163,7 @@ def kronecker_witness(m: int, n: int, a: int, b: int, c: int, d: int,
         margin = 2**-40 * (size + t)
         k_lo = max(1, math.ceil((lo_0 + t - margin) / (b * log_p)))
         for k in range(k_lo, math.floor((hi_0 + t + margin) / (b * log_p)) + 1):
-            big_q, big_p = q ** (c + d * ell), p ** (a + b * k)
-            if n * big_q <= m * big_p and (m + 1) * big_p <= (n + 1) * big_q:
-                return KroneckerWitness(k, ell)
+            if verify_kronecker(w := KroneckerWitness(k, ell), m, n, a, b, c, d, p, q):
+                return w
     raise SearchCapExceededError(f"no exponent pair found with l <= {DEFAULT_KRONECKER_CAP}",
                                  cap=DEFAULT_KRONECKER_CAP)

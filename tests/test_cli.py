@@ -250,6 +250,11 @@ def test_validation_exit_codes(capsys, files, tmp_path):
     assert run(capsys, "profile", files["example1"], "9")[0] == 2
     assert run(capsys, "witness-nonempty", files["finite"])[0] == 2
     assert run(capsys, "witness-empty", files["finite"])[0] == 2
+    assert run(capsys, "member", files["example1"], "-1")[0] == 2
+    assert run(capsys, "enum", files["example1"], "-1")[0] == 2
+    assert run(capsys, "decode", "1,x", "2")[0] == 2
+    assert run(capsys, "indep", "1", "3")[0] == 2
+    assert run(capsys, "witness-nonempty", files["example1"], "--m-min", "0")[0] == 2
 
 
 def test_usage_errors(capsys):

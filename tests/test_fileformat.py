@@ -130,6 +130,10 @@ def test_type_errors_rejected():
         set_from_document(_doc(finals=[0.5]))
     with pytest.raises(ValidationError):
         set_from_document(_doc(transitions=[[0, 1]]))
+    with pytest.raises(ValidationError, match="'finals' must be a list"):
+        set_from_document(_doc(finals=1))
+    with pytest.raises(ValidationError, match="'transitions' must be a list"):
+        set_from_document(_doc(transitions={"0": [0, 1, 1]}))
     with pytest.raises(ValidationError):
         set_from_document([1, 2, 3])
 

@@ -51,14 +51,19 @@ def _loop_digits(n, p):
 
 
 def test_long_encode_matches_the_digit_loop():
-    # past a cutoff encode splits at p**(2**j); the low halves keep their
-    # leading zeros, so runs of zeros and numbers next to powers of p are the
-    # cases a wrong pad would break
+    # past a cutoff encode splits in halves, at p**half; the low halves keep
+    # their leading zeros, so runs of zeros and numbers next to powers of p are
+    # the cases a wrong pad would break
     rng = random.Random(5)
     cases = [(p**w + delta, p) for p in (2, 3, 10, 36)
              for w in (1000, 1024, 2048, 5000) for delta in (-1, 0, 1)]
     cases += [(rng.getrandbits(rng.randint(1500, 20000)), rng.randint(2, 36)) for _ in range(40)]
     cases += [(7 * 5**4000 + 3 * 5**1999 + 2, 5), (2**3000 + 1, 2**2000 + 1)]
+    # just past the cutoff
+    cases += [(2**1536 + delta, p) for delta in (0, 1) for p in (2, 3)]
+    # a base of more than half n's bits takes the loop; one digit more splits at the base
+    P = 2**2000 + 1
+    cases += [(P**2 - 1, P), (3 * P**3 + 5, P)]
     for n, p in cases:
         assert encode(n, p) == _loop_digits(n, p)
 
@@ -200,6 +205,8 @@ def test_independence_symmetry_and_witnesses():
         if not v1.independent:
             k, ell = v1.dependence_witness
             assert k >= 1 and ell >= 1 and p**k == q**ell
+    with pytest.raises(ValidationError):
+        mult_independent(1, 3)
 
 
 def _kronecker_oracle(m, n, a, b, c, d, p, q, limit=60):
@@ -219,6 +226,9 @@ def test_kronecker_golden_value():
     assert verify_kronecker(w, 2, 1, 1, 1, 1, 1, 2, 3)
     # the chain concretely: 27 <= 32 < 48 <= 54
     assert 1 * 3**3 <= 2 * 2**4 < 3 * 2**4 <= 2 * 3**3
+    # exponents must be positive, even where the chain 3 <= 4 < 6 <= 6 holds
+    assert 1 * 3**1 <= 2 * 2**1 < 3 * 2**1 <= 2 * 3**1
+    assert not verify_kronecker(KroneckerWitness(0, 0), 2, 1, 1, 1, 1, 1, 2, 3)
 
 
 def test_kronecker_lower_bound_met_with_equality():
@@ -239,6 +249,18 @@ def test_kronecker_upper_bound_met_with_equality():
     w = kronecker_witness(8, 3, 1, 1, 1, 1, 2, 3)
     assert w == KroneckerWitness(k=1, ell=1)
     assert verify_kronecker(w, 8, 3, 1, 1, 1, 1, 2, 3)
+
+
+def test_kronecker_exact_check_rejects_a_bracket_survivor():
+    # 3**24 == 32*m + 1, so at l = 1 the lower bound misses by one part in
+    # 2**38: k = 4 lies inside the widened float bracket, and only the exact
+    # check turns it down; l = 2 then nests with k = 6
+    m = (3**24 - 1) // 32
+    assert 3**24 == 32 * m + 1
+    args = (m, 1, 1, 1, 23, 1, 2, 3)
+    assert not verify_kronecker(KroneckerWitness(4, 1), *args)
+    assert kronecker_witness(*args) == KroneckerWitness(k=6, ell=2)
+    assert _kronecker_oracle(*args) == (6, 2)
 
 
 @pytest.mark.parametrize("args, witness", [

@@ -290,6 +290,12 @@ def test_verify_rejects_tampered_witness():
     assert not verify_interval_witness(s, bad_kind)
     bad_state = IntervalWitness(w.m, w.a, w.b, w.state + 1, w.kind)
     assert not verify_interval_witness(s, bad_state)
+    from recset import ValidationError
+    for params in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        with pytest.raises(ValidationError):
+            IntervalWitness(*params, w.state, w.kind)
+    with pytest.raises(ValidationError):
+        IntervalWitness(w.m, w.a, w.b, w.state, "full")
 
 
 def test_verify_rejects_family_that_fails_only_at_k_9():
@@ -770,6 +776,13 @@ def test_refute_certificate_tampering_detected():
     assert not verify_contradiction(
         replace(cert, kronecker=KroneckerWitness(cert.kronecker.k + 1, cert.kronecker.ell)),
         nat3, ex1)
+    swapped = replace(cert, base_p_witness=cert.base_q_witness, base_q_witness=cert.base_p_witness)
+    assert not verify_contradiction(swapped, nat3, ex1)
+    # bases 2 and 4 are dependent, so no certificate holds for them
+    assert not verify_contradiction(replace(cert, base_p=2, base_q=4), full_set(2), full_set(4))
+    # the element must lie in the first set
+    assert not member(multiples_of(5, 3), cert.element)
+    assert not verify_contradiction(cert, multiples_of(5, 3), ex1)
 
 
 def test_refute_random_cross_base_pairs():
