@@ -153,18 +153,6 @@ def is_empty_language(dfa: Dfa) -> bool:
     return dfa.finals.isdisjoint(_reachable(dfa.rows, [dfa.initial]))
 
 
-def _renumbered(dfa: Dfa, order: list[int]) -> Dfa:
-    """The automaton on the states `order`, state order[i] becoming i.
-
-    The initial state must be in `order`; transitions into other states
-    become missing.
-    """
-    new, missing = {old: i for i, old in enumerate(order)}, (-1,) * dfa.alphabet_size
-    rows = [tuple(map(new.get, dfa.rows[s], missing)) for s in order]
-    return Dfa._from_rows(dfa.alphabet_size, new[dfa.initial],
-                          [new[s] for s in dfa.finals if s in new], rows)
-
-
 def trim(dfa: Dfa) -> Dfa:
     """Keep exactly the states that are reachable from the initial state and can reach a final state.
 
@@ -177,7 +165,9 @@ def trim(dfa: Dfa) -> Dfa:
     keep = set(_reachable(_predecessors(dfa.rows, reach), dfa.finals.intersection(reach)))
     if dfa.initial not in keep:
         return empty_dfa(dfa.alphabet_size)
-    return _renumbered(dfa, sorted(keep))
+    new, missing = {old: i for i, old in enumerate(sorted(keep))}, (-1,) * dfa.alphabet_size
+    rows = [tuple(map(new.get, dfa.rows[s], missing)) for s in new]
+    return Dfa._from_rows(dfa.alphabet_size, new[dfa.initial], [new[s] for s in dfa.finals if s in new], rows)
 
 
 def complete(dfa: Dfa) -> Dfa:
@@ -202,16 +192,17 @@ def minimize(dfa: Dfa) -> Dfa:
     keeps the old one, still pending if it was, and needs no turn of its own
     once the smaller has had one.  So a state is only pushed in a part at
     most half its block, is in at most log2(n) + 1 popped blocks, and each
-    transition is read once per pop of its target: O(n*p*log n).  The states
-    of empty language end in one dead class, a non-final block whose digits
-    all lead back to it, dropped before `_reachable` lays out the rest.  The
-    result is canonical: equal languages give equal minimized forms.
+    transition is read once per pop of its target: O(n*p*log n).  The empty
+    language's states end in the sink's class, dropped; the others, by first
+    appearance along `reach`, are the quotient's breadth-first layout, as a
+    class's later members follow its first and share its successor classes.
+    The result is canonical: equal languages give equal minimized forms.
     """
     reach = _reachable(dfa.rows, [dfa.initial])
     if dfa.finals.isdisjoint(reach):
         return empty_dfa(dfa.alphabet_size)
     p, n = dfa.alphabet_size, len(reach) + 1
-    # one pass, not complete(_renumbered(...)): about 10 % faster on the benchmark documents
+    # renumbered and completed in one pass: about 10 % faster on the benchmark documents
     new = {old: i for i, old in enumerate(reach)}
     new[-1] = n - 1
     rows = [tuple(map(new.__getitem__, dfa.rows[s])) for s in reach] + [(n - 1,) * p]
@@ -244,11 +235,11 @@ def minimize(dfa: Dfa) -> Dfa:
                 for s in small:
                     block_of[s] = len(blocks)
                 blocks.append(small)
-    rows = [tuple(map(block_of.__getitem__, rows[next(iter(members))])) for members in blocks]
-    finals = {block_of[s] for s in finals}
-    dead = {b for b, row in enumerate(rows) if b not in finals and row.count(b) == p}
-    quotient = Dfa._from_rows(p, block_of[0], finals, rows)
-    return _renumbered(quotient, [b for b in _reachable(rows, [block_of[0]]) if b not in dead])
+    # the live classes by first appearance along reach: the sink's, block_of[-1], is the dead class
+    new = {b: i for i, b in enumerate(b for b in dict.fromkeys(block_of) if b != block_of[-1])}
+    cls = [new.get(b, -1) for b in block_of]
+    rows = [tuple(map(cls.__getitem__, rows[next(iter(blocks[b]))])) for b in new]
+    return Dfa._from_rows(p, 0, {cls[s] for s in finals}, rows)
 
 
 _PRODUCT_MODES = {

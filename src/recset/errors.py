@@ -24,9 +24,10 @@ class InsufficientDataError(PreconditionError):
 class SearchCapExceededError(RecsetError):
     """A bounded search hit its safety cap before finding an answer.
 
-    Each cap is a fixed constant, `lengths.DEFAULT_SUBSET_CAP` or
-    `numeration.DEFAULT_KRONECKER_CAP`; the error carries its value so
-    callers can distinguish "not found yet" from "does not exist".
+    The two bounds are `lengths.DEFAULT_SUBSET_CAP` depths of a component's
+    length recurrence and `numeration.MAX_CERTIFICATE_BITS` bits of a Kronecker
+    certificate's powers.  The message says how far the search got; `cap` holds
+    the bound, so callers can tell "not within it" from "does not exist".
     """
 
     def __init__(self, message: str, cap: int):

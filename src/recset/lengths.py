@@ -141,8 +141,9 @@ def _component_vectors(dfa: Dfa, comp: list[int], records: dict):
     vectors, seen = [], {}
     while (r := len(vectors)) < settled or (v, r % lcm) not in seen:
         if r == stop:
-            raise SearchCapExceededError(f"no length recurrence within {DEFAULT_SUBSET_CAP} steps",
-                                         cap=DEFAULT_SUBSET_CAP)
+            where = f"stopped at depth {r}" if r else f"cannot recur before depth {settled + lcm}"
+            raise SearchCapExceededError(f"no length recurrence within {DEFAULT_SUBSET_CAP} steps: "
+                                         f"a {len(comp)}-state component {where}", cap=DEFAULT_SUBSET_CAP)
         if r >= settled:
             seen[v, r % lcm] = r
         vectors.append(v)

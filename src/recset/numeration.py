@@ -7,12 +7,14 @@ which is what makes prefix-interval arguments work.
 
 from __future__ import annotations
 
-import math
+import decimal
 from dataclasses import dataclass
 
 from .errors import PreconditionError, RecsetError, SearchCapExceededError, ValidationError
 
-DEFAULT_KRONECKER_CAP = 10_000
+MAX_CERTIFICATE_BITS = 1 << 23  # building 3**e took 1.6 s at this size, 0.63 s at half of it
+_SCALE = 1 << 64  # kronecker_witness's fixed point
+_LN2 = int(decimal.Context(prec=40).multiply(decimal.Context(prec=40).ln(2), _SCALE))  # sizes only
 _LOOP_BITS = 1536  # encode and decode keep the per-digit loop up to here: splitting saves microseconds
 
 
@@ -133,19 +135,43 @@ def verify_kronecker(w: KroneckerWitness, m: int, n: int, a: int, b: int,
     return lo_q <= lo_p and hi_p <= hi_q
 
 
+def _first_hit(a: int, b: int, m: int, w: int) -> int | None:
+    """Least x >= 0 with (a*x + b) % m <= w, or None if there is none; 0 <= a, b < m.
+
+    A rotation's first return to [0, w] (Sos 1958; Cassels 1957, ch. III).  As
+    z -> w - z maps [0, w] onto itself, a and b may become m - a and (w - b) % m,
+    so take a <= m/2.  From b > w the orbit lands in [0, w] only just past some
+    j*m, at x = ceil((j*m - b)/a), on (b - j*m) % a: the least j >= 1 is a first
+    hit modulo a, and the modulus halves at each step.
+    """
+    if b <= w:
+        return 0
+    if 2 * a > m:
+        a, b = m - a, (w - b) % m
+    if a == 0:
+        return None
+    j = _first_hit(-m % a, (b - m) % a, a, w)
+    return None if j is None else ((j + 1) * m - b + a - 1) // a
+
+
 def kronecker_witness(m: int, n: int, a: int, b: int, c: int, d: int,
                       p: int, q: int) -> KroneckerWitness:
-    """Smallest (by l, then k) exponent pair nesting the intervals.
+    """Smallest (by l, then k) exponent pair nesting the intervals, by an exact search.
 
-    For l = 1, 2, ... and t = (c+d*l)*log q, the pair nests exactly when b*k*log p
-    lies in [log n - log m - a*log p + t, log(n+1) - log(m+1) - a*log p + t].  Each
-    of the about 15 roundings behind an end (logarithms, int to float, products,
-    sums, one division) errs by at most 2**-52*S, S = 1 + t + a*log p + log(m+1) +
-    log(n+1), so widening both ends by 2**-40*S, over 250 times their sum, skips
-    no integer k.  `verify_kronecker` checks only the k left in the widened bracket,
-    in exact integers: the floats only narrow the search and never decide.
-    Termination is guaranteed for independent bases; DEFAULT_KRONECKER_CAP bounds l
-    as a safety valve only, and a search past it raises SearchCapExceededError.
+    The pair nests exactly when b*k*ln p is in [t + ln(n/m), t + ln((n+1)/(m+1))],
+    t = (c+d*l)*ln q - a*ln p.  Times F = _SCALE, ln p, ln q and the two ends round
+    to integers lp, lq, r0, r1 within one unit: `decimal`'s ln is correctly rounded,
+    and the precision keeps the roundings of n/m, ln and the scaling under 1/8
+    unit, each logarithm being below the bit length.  A pair whose powers fit
+    B = MAX_CERTIFICATE_BITS bits has exponents under B, as p**(a+b*k) <
+    q**(c+d*l), so its integer chain errs by at most (c+d*l) + (a+b*k) + 1 <
+    E = 4*B units: k*b*lp is in [Y(l), Y(l) + W], Y(l) = (c+d*l)*lq - a*lp + r0 - E,
+    W = r1 - r0 + 2*E.  So its l is a hit (-Y(l)) % (b*lp) <= W of a rotation,
+    found in order by `_first_hit`, and `verify_kronecker` checks each hit's one
+    or two k exactly; at B = 2**23, E is 2**-38 of a turn, so few hits fail.
+    Independent bases always have a pair ({l*d*ln q / (b*ln p)} is dense), so B
+    only guards outside input: a pair whose larger power would pass it, (1, 1)
+    first, raises SearchCapExceededError naming l, k and the size.
     """
     for name, value in (("m", m), ("n", n), ("a", a), ("b", b), ("c", c), ("d", d)):
         if value < 1:
@@ -154,16 +180,26 @@ def kronecker_witness(m: int, n: int, a: int, b: int, c: int, d: int,
         raise PreconditionError(f"need n < m, got n={n}, m={m}")
     require_independent(p, q)
 
-    log_p, log_q = math.log(p), math.log(q)
-    lo_0 = math.log(n) - math.log(m) - a * log_p
-    hi_0 = math.log(n + 1) - math.log(m + 1) - a * log_p
-    size = 1 + a * log_p + math.log(m + 1) + math.log(n + 1)
-    for ell in range(1, DEFAULT_KRONECKER_CAP + 1):
-        t = (c + d * ell) * log_q
-        margin = 2**-40 * (size + t)
-        k_lo = max(1, math.ceil((lo_0 + t - margin) / (b * log_p)))
-        for k in range(k_lo, math.floor((hi_0 + t + margin) / (b * log_p)) + 1):
+    ctx = decimal.Context(prec=len(str(8 * _SCALE * (max(p, q, m + 1).bit_length() + 1))) + 1)
+    lp, lq, r0, r1 = (int(ctx.to_integral_value(ctx.multiply(ctx.ln(x), _SCALE)))
+                      for x in (p, q, ctx.divide(n, m), ctx.divide(n + 1, m + 1)))
+
+    def guard(ell: int, k: int) -> None:
+        if (size := max((a + b * k) * lp, (c + d * ell) * lq) // _LN2 + 1) > MAX_CERTIFICATE_BITS:
+            raise SearchCapExceededError(f"exponent pair l={ell}, k={k} needs a power of about {size} bits,"
+                                         f" past the {MAX_CERTIFICATE_BITS}-bit bound", cap=MAX_CERTIFICATE_BITS)
+
+    guard(1, 1)
+    slack = 4 * MAX_CERTIFICATE_BITS
+    g, step, y0, window = b * lp, d * lq, c * lq - a * lp + r0 - slack, r1 - r0 + 2 * slack
+    ell = max(1, -((y0 + window - g) // step))  # below it no k >= 1 fits
+    while (x := _first_hit(-step % g, -(y0 + step * ell) % g, g, window)) is not None:
+        ell += x
+        y = y0 + step * ell
+        for k in range(-(-y // g), (y + window) // g + 1):
+            guard(ell, k)
             if verify_kronecker(w := KroneckerWitness(k, ell), m, n, a, b, c, d, p, q):
                 return w
-    raise SearchCapExceededError(f"no exponent pair found with l <= {DEFAULT_KRONECKER_CAP}",
-                                 cap=DEFAULT_KRONECKER_CAP)
+        ell += 1
+    raise SearchCapExceededError(f"no exponent pair within the {MAX_CERTIFICATE_BITS}-bit bound",
+                                 cap=MAX_CERTIFICATE_BITS)

@@ -185,6 +185,17 @@ def test_minimize_on_200_random_dfas():
         assert m.state_count <= max(trim(dfa).state_count, 1)
 
 
+def test_minimize_lays_out_states_breadth_first():
+    # minimize numbers the classes by first appearance along the input's
+    # breadth-first order: that must be the result's own breadth-first order
+    from recset.automata import _reachable
+    rng = random.Random(303)
+    for _ in range(300):
+        m = minimize(random_dfa(rng, rng.choice([6, 20, 60]), rng.choice([2, 3, 5])))
+        assert _reachable(m.rows, [0]) == list(range(m.state_count))
+        assert m.initial == 0
+
+
 def test_minimize_output_states_pairwise_distinguishable():
     # independent minimality oracle: in a minimal trimmed automaton no two
     # states recognize the same residual language

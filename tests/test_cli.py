@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 import tracemalloc
@@ -138,20 +139,29 @@ def test_kronecker_error_exit_codes(capsys):
     code, _, err = run(capsys, "kronecker", "2", "1", "1", "1", "1", "1", "2", "8")
     assert code == 2
     assert err.startswith("error: ")
-    # no l <= 10 000 nests these intervals: the search stops at its fixed cap
-    code, out, err = run(capsys, "kronecker", "1001", "1000", "1", "1", "1", "1", "2", "3")
-    assert (code, out) == (3, "")
-    assert err == "error: no exponent pair found with l <= 10000\n"
+    # no certificate within the 2**23-bit bound holds these powers: the size
+    # guard stops at the pair (1, 1), before building any power
+    for exponents in ([str(10**400), "1", "1", "1"], ["1", "1", str(10**20), "1"]):
+        code, out, err = run(capsys, "kronecker", "2", "1", *exponents, "2", "3")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: exponent pair l=1, k=1 needs a power of about ")
+        assert err.endswith(" bits, past the 8388608-bit bound\n") and err.count("\n") == 1
+    # an answer far past l = 10 000, found at once
+    code, out, err = run(capsys, "kronecker", "1000", "999", "1", "1", "1", "1", "2", "3")
+    assert (code, err) == (0, "")
+    assert out.startswith("k: 149984\nl: 94629\nchain: ")
 
 
 def test_profile_recurrences_past_the_cap_exit_3(capsys, files, tmp_path):
     # lengths accepted after the leading 1 recur only every lcm(2..29) digits
-    fan = str(tmp_path / "fan.aut")
-    write_automaton(fan, prime_cycles(primes=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29), fan_out=True))
+    fan, primes = str(tmp_path / "fan.aut"), (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    write_automaton(fan, prime_cycles(primes=primes, fan_out=True))
     for argv in (["syndetic", fan], ["witness-empty", fan], ["refute", files["mult3b2"], fan]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("error: no length recurrence within")
+    # no depth is run: the cycles' lengths recur together only after 2*3*5*...*29 digits
+    assert err.endswith(f"-state component cannot recur before depth {math.prod(primes)}\n")
 
 
 def test_kronecker_prints_numbers_past_the_int_str_digit_limit(capsys):

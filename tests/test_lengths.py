@@ -151,12 +151,17 @@ def test_profile_cap(monkeypatch):
     with pytest.raises(SearchCapExceededError) as err:
         length_profile(dfa, 0)
     assert err.value.cap == 1
+    # the message says how far the search got: here one depth of a 5-cycle
+    assert str(err.value) == "no length recurrence within 1 steps: a 5-state component stopped at depth 1"
     dfa = full_set(2).dfa  # the final state 1 loops onto itself: step 1 repeats
     assert length_profile(dfa, 1).cycle_bits == (1,)
     monkeypatch.setattr(lengths, "DEFAULT_SUBSET_CAP", 0)
     with pytest.raises(SearchCapExceededError) as err:
         length_profile(dfa, 1)
     assert err.value.cap == 0
+    # no depth is run: the message names the first depth a key could repeat at
+    assert str(err.value) == ("no length recurrence within 0 steps: "
+                              "a 1-state component cannot recur before depth 1")
 
 
 def test_cofinite_threshold_cases():
@@ -269,6 +274,7 @@ def test_component_engine_keeps_the_subset_cap(monkeypatch):
     with pytest.raises(SearchCapExceededError) as err:
         _reachable_profiles(dfa, _components(dfa.rows, [0]))
     assert err.value.cap == 35
+    assert str(err.value).endswith(": a 5-state component stopped at depth 35")
 
 
 def test_engine_allocates_for_visited_states_not_declared_ones():

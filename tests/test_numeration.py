@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -19,7 +21,7 @@ from recset import (
     mult_independent,
     verify_kronecker,
 )
-from recset.numeration import IndependenceVerdict
+from recset.numeration import IndependenceVerdict, _first_hit
 
 
 def test_encode_basics():
@@ -233,8 +235,8 @@ def test_kronecker_golden_value():
 
 def test_kronecker_lower_bound_met_with_equality():
     # n*q**(c+d*l) <= m*p**(a+b*k) holds with equality at the answer,
-    # 8 * 3**2 == 9 * 2**3 == 72, so the float bracket's lower end is exact and
-    # any gate on it must admit an integer sitting right on the bound
+    # 8 * 3**2 == 9 * 2**3 == 72, so the window's lower end is exact and the
+    # search must admit an integer sitting right on the bound
     assert 8 * 3**2 == 9 * 2**3 and 10 * 2**3 <= 9 * 3**2
     w = kronecker_witness(9, 8, 1, 1, 1, 1, 2, 3)
     assert w == KroneckerWitness(k=2, ell=1)
@@ -243,33 +245,48 @@ def test_kronecker_lower_bound_met_with_equality():
 
 def test_kronecker_upper_bound_met_with_equality():
     # (m+1)*p**(a+b*k) <= (n+1)*q**(c+d*l) holds with equality at the answer,
-    # 9 * 2**2 == 4 * 3**2 == 36, so the bracket's upper end is exact and the
-    # gate must admit an integer sitting right on it
+    # 9 * 2**2 == 4 * 3**2 == 36, so the window's upper end is exact and the
+    # search must admit an integer sitting right on it
     assert 9 * 2**2 == 4 * 3**2 and 3 * 3**2 <= 8 * 2**2
     w = kronecker_witness(8, 3, 1, 1, 1, 1, 2, 3)
     assert w == KroneckerWitness(k=1, ell=1)
     assert verify_kronecker(w, 8, 3, 1, 1, 1, 1, 2, 3)
 
 
-def test_kronecker_exact_check_rejects_a_bracket_survivor():
+def test_kronecker_exact_check_rejects_a_bracket_survivor(monkeypatch):
     # 3**24 == 32*m + 1, so at l = 1 the lower bound misses by one part in
-    # 2**38: k = 4 lies inside the widened float bracket, and only the exact
-    # check turns it down; l = 2 then nests with k = 6
+    # 2**38; l = 2 then nests with k = 6
     m = (3**24 - 1) // 32
     assert 3**24 == 32 * m + 1
     args = (m, 1, 1, 1, 23, 1, 2, 3)
     assert not verify_kronecker(KroneckerWitness(4, 1), *args)
     assert kronecker_witness(*args) == KroneckerWitness(k=6, ell=2)
     assert _kronecker_oracle(*args) == (6, 2)
+    # 3**48 == 64*m + 1 misses by one part in 2**76, inside the search's error
+    # bound: l = 1 is a hit, and its window, nearly a whole turn wide, holds
+    # two k; only the exact check turns both down before l = 2 nests
+    import recset.numeration as numeration
+    checked = []
+    monkeypatch.setattr(numeration, "verify_kronecker",
+                        lambda w, *rest: checked.append(w) or verify_kronecker(w, *rest))
+    m = (3**48 - 1) // 64
+    assert 3**48 == 64 * m + 1
+    args = (m, 1, 1, 1, 47, 1, 2, 3)
+    assert kronecker_witness(*args) == KroneckerWitness(k=7, ell=2)
+    assert checked == [KroneckerWitness(5, 1), KroneckerWitness(6, 1), KroneckerWitness(7, 2)]
+    assert _least_exact_pair(*args, limit=2) == (7, 2)
 
 
 @pytest.mark.parametrize("args, witness", [
     ((20, 19, 3, 3, 5, 5, 2, 3), KroneckerWitness(k=15912, ell=6023)),
     ((101, 100, 2, 1, 3, 2, 10, 3), KroneckerWitness(k=2490, ell=2610)),
+    # from an uncapped run of the float-bracketed scan `_float_scan`
+    ((300, 299, 1, 1, 1, 1, 2, 3), KroneckerWitness(k=4868, ell=3071)),
+    ((1000, 999, 1, 1, 1, 1, 2, 3), KroneckerWitness(k=149984, ell=94629)),
 ])
 def test_kronecker_golden_least_witness_for_a_long_search(args, witness):
-    # thousands of l to try: building every power exactly took seconds,
-    # the float gate builds only the survivors
+    # thousands of l to try: building every power exactly took seconds;
+    # the search jumps from hit to hit and builds only the answer's powers
     start = time.perf_counter()
     assert kronecker_witness(*args) == witness
     assert time.perf_counter() - start < 1
@@ -294,8 +311,7 @@ def _least_exact_pair(m, n, a, b, c, d, p, q, limit):
 
 
 def test_kronecker_matches_exact_oracle_on_large_exponents():
-    # large c, d and a make t and a*log p large: the float error and the
-    # margin both grow with them
+    # large c, d and a make the scaled logarithms' errors add up the most
     rng = random.Random(31)
     for _ in range(150):
         p, q = rng.choice([(2, 3), (2, 5), (3, 5), (2, 7), (7, 2)])
@@ -318,8 +334,8 @@ def test_kronecker_matches_exact_oracle_on_large_exponents():
 
 def test_kronecker_admits_bounds_met_with_equality_at_large_exponents():
     # n = p**(a+b*k), m = q**(c+d*l) meet the lower bound with equality at
-    # (k, l), and n + 1, m + 1 the upper one: the float bracket then ends on
-    # an integer up to rounding, and a gate without a margin skips it
+    # (k, l), and n + 1, m + 1 the upper one: the window then ends on an
+    # integer up to rounding, and a search without a slack skips it
     rng = random.Random(3)
     checked = 0
     while checked < 150:
@@ -375,7 +391,95 @@ def test_kronecker_rejects_bad_parameters():
         kronecker_witness(2, 1, 0, 1, 1, 1, 2, 3)  # a must be >= 1
 
 
-def test_kronecker_cap_error_carries_cap():
+def _float_scan(m, n, a, b, c, d, p, q, limit):
+    """A float-bracketed scan over l = 1 .. limit, a reference for the exact search.
+
+    b*k*log p must lie in [log(n/m) - a*log p + t, log((n+1)/(m+1)) - a*log p + t],
+    t = (c+d*l)*log q; both ends are widened by 2**-40 times the size of the
+    terms, far more than their rounding, and each k left is checked exactly.
+    """
+    log_p, log_q = math.log(p), math.log(q)
+    lo_0 = math.log(n) - math.log(m) - a * log_p
+    hi_0 = math.log(n + 1) - math.log(m + 1) - a * log_p
+    size = 1 + a * log_p + math.log(m + 1) + math.log(n + 1)
+    for ell in range(1, limit + 1):
+        t = (c + d * ell) * log_q
+        margin = 2**-40 * (size + t)
+        k_lo = max(1, math.ceil((lo_0 + t - margin) / (b * log_p)))
+        for k in range(k_lo, math.floor((hi_0 + t + margin) / (b * log_p)) + 1):
+            if verify_kronecker(w := KroneckerWitness(k, ell), m, n, a, b, c, d, p, q):
+                return w
+    return None
+
+
+def test_kronecker_matches_the_float_scan_on_a_grid():
+    # 3 300 tuples: 10 base pairs, every 1 <= n < m <= 12, five (a, b, c, d)
+    bases = [(2, 3), (3, 2), (2, 5), (5, 2), (3, 5), (2, 7), (7, 3), (10, 3), (3, 10), (6, 5)]
+    exponents = [(1, 1, 1, 1), (2, 1, 3, 2), (1, 3, 1, 2), (5, 2, 1, 1), (3, 4, 7, 3)]
+    checked = 0
+    for p, q in bases:
+        for m in range(2, 13):
+            for n in range(1, m):
+                for abcd in exponents:
+                    args = (m, n, *abcd, p, q)
+                    assert kronecker_witness(*args) == _float_scan(*args, limit=20_000), args
+                    checked += 1
+    assert checked == 3300
+
+
+def test_first_hit_matches_brute_force():
+    for m in range(1, 41):
+        for a in range(m):
+            for b in range(m):
+                # the orbit repeats within m steps; best is the least x landing in [0, w]
+                first: dict[int, int] = {}
+                for x in range(m):
+                    first.setdefault((a * x + b) % m, x)
+                best = None
+                for w in range(m + 1):
+                    if w in first and (best is None or first[w] < best):
+                        best = first[w]
+                    assert _first_hit(a, b, m, w) == best, (a, b, m, w)
+
+
+def test_kronecker_cap_error_carries_cap(monkeypatch):
+    # the size guard names the pair it stopped at and its size, and carries its bound
+    import recset.numeration as numeration
+    monkeypatch.setattr(numeration, "MAX_CERTIFICATE_BITS", 1000)
+    args = (300, 299, 1, 1, 1, 1, 2, 3)
     with pytest.raises(SearchCapExceededError) as err:
-        kronecker_witness(1001, 1000, 1, 1, 1, 1, 2, 3)  # no l <= 10 000 works
-    assert err.value.cap == 10_000
+        kronecker_witness(*args)
+    assert err.value.cap == 1000
+    ell, k, size = (int(x) for x in re.fullmatch(
+        r"exponent pair l=(\d+), k=(\d+) needs a power of about (\d+) bits, past the 1000-bit bound",
+        str(err.value)).groups())
+    # the search stops at its first hit past the bound, here the answer (4868, 3071),
+    # before building 3**3072: no pair with a smaller l nests
+    assert (k, ell) == (4868, 3071) and _float_scan(*args, limit=ell - 1) is None
+    assert size == (3 ** (1 + ell)).bit_length()
+    # a rotation that never hits the window leaves no pair within the bound either
+    monkeypatch.setattr(numeration, "_first_hit", lambda *hit: None)
+    with pytest.raises(SearchCapExceededError, match="no exponent pair within the 1000-bit bound"):
+        kronecker_witness(*args)
+
+
+@pytest.mark.parametrize("args, size", [
+    ((2, 1, 10**400, 1, 1, 1, 2, 3), 10**400 + 2),
+    # 3**(10**20 + 1) has floor((10**20 + 1) * log2(3)) + 1 bits
+    ((2, 1, 1, 1, 10**20, 1, 2, 3), 158_496_250_072_115_618_147),
+], ids=["a=10**400", "c=10**20"])
+def test_kronecker_guard_builds_no_power(args, size):
+    # a float bracket overflows on a = 10**400, and c = 10**20 makes q**(c+d*l)
+    # too large to build; the size guard stops both at the pair (1, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchCapExceededError) as err:
+            kronecker_witness(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the size of the larger power of the pair (1, 1), to one part in 2**60
+    got = int(re.fullmatch(r"exponent pair l=1, k=1 needs a power of about (\d+) bits, past the "
+                           r"8388608-bit bound", str(err.value)).group(1))
+    assert abs(got - size) < size >> 60
