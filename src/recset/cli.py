@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 negative verdict (false / not syndetic / dependent /
 absent), 2 usage or validation error, 3 search cap exceeded, 4 internal error
-(a self-check failed, or an unexpected exception such as MemoryError).  All
+(a self-check failed, or an unexpected exception such as MemoryError), 141
+stdout's reader left early (128 + SIGPIPE, with nothing on stderr).  All
 errors go to stderr as a single line starting with "error: ".
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
+import os
 import sys
 
 from .automata import (
@@ -348,7 +350,12 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left is met here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # later flushes go nowhere, as the signal module's docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except SearchCapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

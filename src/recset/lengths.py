@@ -2,11 +2,11 @@
 
 For a state s, the length set is { |w| : w drives s into a final state }; its
 indicator sequence is ultimately periodic.  One recurrence computes it:
-`_records` runs bit_s(r) = OR over digits d of bit_delta(s,d)(r - 1) one
-strongly connected component at a time, over the components it is given,
-successors first (`_components`).  `_reachable_profiles` reduces every state's
-bits to minimal (preperiod, period) form, for the set's one table,
-`RecognizableSet.profiles`; `length_profile` reduces only its own state.
+`_reachable_profiles` runs bit_s(r) = OR over digits d of bit_delta(s,d)(r - 1)
+one strongly connected component at a time, over the components it is given,
+successors first (`_components`), and files each state's minimal profile, the
+one record a component above reads its exits from.  That table is the set's
+`RecognizableSet.profiles`; `length_profile` files its state's component.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from typing import TYPE_CHECKING, Iterator
 from .errors import SearchCapExceededError, ValidationError
 
 # The most depths one component's recurrence may run.  Each depth holds a vector
-# and a (vector, depth mod lcm) key: 190 bytes for a one-state component on 64-bit
-# CPython (tracemalloc, 97 MB at 510 510 depths), so 2**20 depths stay near 200 MB.
+# and a (vector, depth mod lcm) key: 165 bytes for a one-state component on 64-bit
+# CPython (tracemalloc, 84 MB at 510 510 depths), so 2**20 depths stay near 175 MB.
 DEFAULT_SUBSET_CAP = 1 << 20
+_BIT = [bytes(byte >> k & 1 for byte in range(256)) for k in range(8)]  # byte -> its bit k
 
 if TYPE_CHECKING:
     from .automata import Dfa
@@ -32,13 +33,14 @@ class UltimatePeriod:
 
     bit(n) == head_bits[n] for n < preperiod, and
     bit(n) == cycle_bits[(n - preperiod) % period] for n >= preperiod.
-    Both preperiod and period are minimal for the sequence.
+    Both preperiod and period are minimal for the sequence; the engine files
+    the bits as bytes of 0/1 values, one byte per length.
     """
 
     preperiod: int
     period: int
-    head_bits: tuple[int, ...]
-    cycle_bits: tuple[int, ...]
+    head_bits: bytes
+    cycle_bits: bytes
 
     def __post_init__(self):
         if self.period < 1:
@@ -56,16 +58,6 @@ def _min_period(seq, a: int, window: int) -> int:
     """Least period of seq[a:a + window], read cyclically; it divides the window."""
     return next(c for c in range(1, window + 1) if window % c == 0
                 and all(seq[a + i] == seq[a + (i + c) % window] for i in range(window)))
-
-
-def _reduced(record) -> UltimatePeriod:
-    """The minimal profile of one state, from its raw record (see `_records`)."""
-    vectors, i, a, period = record
-    bits = [w >> i & 1 for w in vectors]
-    pre = a
-    while pre > 0 and bits[pre - 1] == bits[pre - 1 + period]:
-        pre -= 1
-    return UltimatePeriod(pre, period, tuple(bits[:pre]), tuple(bits[pre:pre + period]))
 
 
 def _components(rows, sources) -> Iterator[list[int]]:
@@ -111,75 +103,74 @@ def _components(rows, sources) -> Iterator[list[int]]:
                     yield comp
 
 
-def _component_vectors(dfa: Dfa, comp: list[int], records: dict):
-    """(vectors, a, period) of one strongly connected component, its successors' records known.
+def _reachable_profiles(dfa: Dfa, comps) -> dict[int, UltimatePeriod]:
+    """Length profile of every state of `comps`, components as `_components` yields them.
 
     Bit i of v(r) says whether comp[i] accepts a length-r word.  An exit's
-    record (vectors, i, a, period) gives its bit r as bit i of vectors[r] below
-    a and of vectors[a + (r - a) % period] from a on, so past the largest exit
-    a the sequence recurs once (v(r), r mod the lcm of exit periods) repeats.
-    All states of a component share one minimal period: each length set holds
-    a shift of every other one.  `vectors` runs up to v(a + period - 1).  A
-    recurrence past DEFAULT_SUBSET_CAP depths raises SearchCapExceededError.
+    bit r is read from its own profile, so past the largest exit preperiod the
+    sequence recurs once (v(r), r mod the lcm of exit periods) repeats.  All
+    states of a component share one minimal period: each length set holds a
+    shift of every other one.  The vectors up to v(a + period - 1), joined as
+    little-endian bytes, give each state's column of 0/1 bytes in C; its
+    preperiod is then cut down from a.  The table holds every preperiod, so a
+    path of L states costs about L**2/2 bytes and as many steps.  A recurrence
+    past DEFAULT_SUBSET_CAP depths raises SearchCapExceededError.
     """
-    local = {s: i for i, s in enumerate(comp)}
-    preds, exits = [0] * len(comp), {}
-    for i, s in enumerate(comp):
-        bit = 1 << i
-        for t in dfa.rows[s]:
-            j = local.get(t)
-            if j is not None:
-                preds[j] |= bit
-            elif t >= 0:
-                exits[t] = exits.get(t, 0) | bit
-    outside = [(*records[t], mask) for t, mask in exits.items()]
-    settled = max((start for _, _, start, _, _ in outside), default=0)
-    lcm = math.lcm(*(cycle for _, _, _, cycle, _ in outside))
-    # no key can repeat before depth settled + lcm: stop at once if that is past the cap
-    stop = 0 if settled + lcm > DEFAULT_SUBSET_CAP else DEFAULT_SUBSET_CAP
-    v = sum(1 << i for i, s in enumerate(comp) if s in dfa.finals)
-    vectors, seen = [], {}
-    while (r := len(vectors)) < settled or (v, r % lcm) not in seen:
-        if r == stop:
-            where = f"stopped at depth {r}" if r else f"cannot recur before depth {settled + lcm}"
-            raise SearchCapExceededError(f"no length recurrence within {DEFAULT_SUBSET_CAP} steps: "
-                                         f"a {len(comp)}-state component {where}", cap=DEFAULT_SUBSET_CAP)
-        if r >= settled:
-            seen[v, r % lcm] = r
-        vectors.append(v)
-        nxt = 0
-        for ws, i, start, cycle, mask in outside:
-            if ws[r if r < start else start + (r - start) % cycle] >> i & 1:
-                nxt |= mask
-        while v:  # the predecessors of every set bit
-            low = v & -v
-            nxt |= preds[low.bit_length() - 1]
-            v ^= low
-        v = nxt
-    a = seen[v, r % lcm]
-    period = _min_period(vectors, a, r - a)
-    return vectors[:a + period], a, period
-
-
-def _records(dfa: Dfa, comps) -> dict:
-    """The raw record (vectors, i, a, period) of every state of `comps`, as `_components` yields them."""
-    records = {}
+    profiles = {}
     for comp in comps:
-        vectors, a, period = _component_vectors(dfa, comp, records)
-        records.update((s, (vectors, i, a, period)) for i, s in enumerate(comp))
-    return records
-
-
-def _reachable_profiles(dfa: Dfa, comps) -> dict[int, UltimatePeriod]:
-    """Length profile of every state of `comps`, components as `_components` yields them."""
-    return {s: _reduced(record) for s, record in _records(dfa, comps).items()}
+        local = {s: i for i, s in enumerate(comp)}
+        preds, exits = [0] * len(comp), {}
+        for i, s in enumerate(comp):
+            bit = 1 << i
+            for t in dfa.rows[s]:
+                j = local.get(t)
+                if j is not None:
+                    preds[j] |= bit
+                elif t >= 0:
+                    exits[t] = exits.get(t, 0) | bit
+        outside = [(p.head_bits + p.cycle_bits, p.preperiod, p.period, mask)
+                   for t, mask in exits.items() for p in (profiles[t],)]
+        settled = max((start for _, start, _, _ in outside), default=0)
+        lcm = math.lcm(*(cycle for _, _, cycle, _ in outside))
+        # no key can repeat before depth settled + lcm: stop at once if that is past the cap
+        stop = 0 if settled + lcm > DEFAULT_SUBSET_CAP else DEFAULT_SUBSET_CAP
+        v = sum(1 << i for i, s in enumerate(comp) if s in dfa.finals)
+        vectors, seen = [], {}
+        while (r := len(vectors)) < settled or (v, r % lcm) not in seen:
+            if r == stop:
+                where = f"stopped at depth {r}" if r else f"cannot recur before depth {settled + lcm}"
+                raise SearchCapExceededError(f"no length recurrence within {DEFAULT_SUBSET_CAP} steps: "
+                                             f"a {len(comp)}-state component {where}", cap=DEFAULT_SUBSET_CAP)
+            if r >= settled:
+                seen[v, r % lcm] = r
+            vectors.append(v)
+            nxt = 0
+            for bits, start, cycle, mask in outside:
+                if bits[r if r < start else start + (r - start) % cycle]:
+                    nxt |= mask
+            while v:  # the predecessors of every set bit
+                low = v & -v
+                nxt |= preds[low.bit_length() - 1]
+                v ^= low
+            v = nxt
+        a = seen[v, r % lcm]
+        del seen  # its keys outweigh the columns built below
+        period = _min_period(vectors, a, r - a)
+        width = (len(comp) + 7) // 8
+        rows = b"".join(w.to_bytes(width, "little") for w in vectors[:a + period])
+        for i, s in enumerate(comp):
+            bits, pre = rows[i // 8::width].translate(_BIT[i % 8]), a
+            while pre > 0 and bits[pre - 1] == bits[pre - 1 + period]:
+                pre -= 1
+            profiles[s] = UltimatePeriod(pre, period, bits[:pre], bits[pre:pre + period])
+    return profiles
 
 
 def length_profile(dfa: Dfa, state: int) -> UltimatePeriod:
     """Ultimately periodic profile of the lengths accepted from `state`, by one engine run."""
     if not 0 <= state < dfa.state_count:
         raise ValidationError(f"state {state} out of range")
-    return _reduced(_records(dfa, _components(dfa.rows, [state]))[state])
+    return _reachable_profiles(dfa, _components(dfa.rows, [state]))[state]
 
 
 def cofinite_threshold(profile: UltimatePeriod) -> int | None:

@@ -186,7 +186,9 @@ def kronecker_witness(m: int, n: int, a: int, b: int, c: int, d: int,
 
     def guard(ell: int, k: int) -> None:
         if (size := max((a + b * k) * lp, (c + d * ell) * lq) // _LN2 + 1) > MAX_CERTIFICATE_BITS:
-            raise SearchCapExceededError(f"exponent pair l={ell}, k={k} needs a power of about {size} bits,"
+            # str() of a size past 2**8192 could pass the int-to-str limit: name its bit length
+            text = f"about {size}" if size.bit_length() <= 8192 else f"more than 2^{size.bit_length() - 1}"
+            raise SearchCapExceededError(f"exponent pair l={ell}, k={k} needs a power of {text} bits,"
                                          f" past the {MAX_CERTIFICATE_BITS}-bit bound", cap=MAX_CERTIFICATE_BITS)
 
     guard(1, 1)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -427,3 +429,18 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
         assert built == []
     finally:
         cli.build_parser.cache_clear()
+
+
+def test_a_reader_that_leaves_early_gets_exit_141(tmp_path):
+    # the reader closes the pipe after one line: the shell's code for a writer
+    # whose reader left (128 + SIGPIPE), and nothing on stderr
+    import recset
+    doc = tmp_path / "nat2.aut"
+    doc.write_text('{"format_version": 1, "base": 2, "contains_zero": false, "state_count": 2, '
+                   '"initial": 0, "finals": [1], "transitions": [[0,1,1],[1,0,1],[1,1,1]]}')
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(recset.__file__)))
+    with subprocess.Popen([sys.executable, "-m", "recset.cli", "enum", str(doc), "200000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"1\n"
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")

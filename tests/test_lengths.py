@@ -63,23 +63,23 @@ def test_subset_step_full_on_complete_automaton():
 def test_profile_example1_states():
     dfa = example1().dfa
     q0 = length_profile(dfa, 0)
-    assert (q0.preperiod, q0.period, q0.cycle_bits) == (0, 2, (0, 1))
+    assert (q0.preperiod, q0.period, q0.cycle_bits) == (0, 2, bytes((0, 1)))
     accepting = length_profile(dfa, 1)
-    assert (accepting.preperiod, accepting.period, accepting.cycle_bits) == (0, 2, (1, 0))
+    assert (accepting.preperiod, accepting.period, accepting.cycle_bits) == (0, 2, bytes((1, 0)))
     other = length_profile(dfa, 2)
-    assert (other.preperiod, other.period, other.cycle_bits) == (0, 2, (0, 1))
+    assert (other.preperiod, other.period, other.cycle_bits) == (0, 2, bytes((0, 1)))
 
 
 def test_profile_accepting_self_loop():
     dfa = Dfa(2, 1, 0, frozenset({0}), {(0, 0): 0, (0, 1): 0})
     prof = length_profile(dfa, 0)
-    assert (prof.preperiod, prof.period, prof.cycle_bits) == (0, 1, (1,))
+    assert (prof.preperiod, prof.period, prof.cycle_bits) == (0, 1, bytes((1,)))
 
 
 def test_profile_dead_end_state():
     dfa = Dfa(2, 2, 0, frozenset({0}), {(0, 0): 1})
     prof = length_profile(dfa, 1)  # no transitions out of state 1
-    assert (prof.preperiod, prof.period, prof.head_bits, prof.cycle_bits) == (0, 1, (), (0,))
+    assert (prof.preperiod, prof.period, prof.head_bits, prof.cycle_bits) == (0, 1, b"", bytes((0,)))
 
 
 def test_profile_word_enumeration_oracle():
@@ -154,7 +154,7 @@ def test_profile_cap(monkeypatch):
     # the message says how far the search got: here one depth of a 5-cycle
     assert str(err.value) == "no length recurrence within 1 steps: a 5-state component stopped at depth 1"
     dfa = full_set(2).dfa  # the final state 1 loops onto itself: step 1 repeats
-    assert length_profile(dfa, 1).cycle_bits == (1,)
+    assert length_profile(dfa, 1).cycle_bits == bytes((1,))
     monkeypatch.setattr(lengths, "DEFAULT_SUBSET_CAP", 0)
     with pytest.raises(SearchCapExceededError) as err:
         length_profile(dfa, 1)
@@ -253,7 +253,7 @@ def test_component_engine_equals_the_forward_walk(case):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_blocked_dfas())
 def test_single_state_profiles_equal_the_forward_walk(case):
-    # each call reduces only its own state
+    # each call files its state's whole component and returns its own profile
     dfa, _ = case
     for state in range(dfa.state_count):
         assert length_profile(dfa, state) == walk_profile(dfa, state)

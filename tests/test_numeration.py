@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 import time
 import tracemalloc
 
@@ -461,6 +462,24 @@ def test_kronecker_cap_error_carries_cap(monkeypatch):
     monkeypatch.setattr(numeration, "_first_hit", lambda *hit: None)
     with pytest.raises(SearchCapExceededError, match="no exponent pair within the 1000-bit bound"):
         kronecker_witness(*args)
+
+
+def test_kronecker_guard_message_keeps_the_int_to_str_limit():
+    # a size of 5 001 digits is named by its bit length, so a library call under
+    # the default limit gets the cap error, not a ValueError from str()
+    import recset.numeration as numeration
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(SearchCapExceededError) as err:
+            kronecker_witness(2, 1, 10**5000, 1, 1, 1, 2, 3)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert err.value.cap == numeration.MAX_CERTIFICATE_BITS
+    assert re.fullmatch(r"exponent pair l=1, k=1 needs a power of more than 2\^\d+ bits, past the "
+                        r"8388608-bit bound", str(err.value))
 
 
 @pytest.mark.parametrize("args, size", [

@@ -512,14 +512,32 @@ def test_a_long_finite_set_runs_no_length_engine():
     assert peak < 4 << 20
 
 
+def test_a_long_acyclic_path_keeps_its_table_small():
+    # the numbers with at least 2000 binary digits: a path of 2000 singleton
+    # components, each filing its own profile and no history of its successors
+    length = 2000
+    transitions = {(0, 1): 1}
+    transitions.update({(i, d): min(i + 1, length) for i in range(1, length + 1) for d in (0, 1)})
+    s = RecognizableSet(Dfa(2, length + 1, 0, frozenset({length}), transitions))
+    s.normal_form
+    tracemalloc.start()
+    try:
+        verdict = syndetic_decide(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(verdict, Syndetic) and verdict.certificate.threshold == 1999
+    assert peak < 8 << 20
+
+
 def test_qualifying_profiles_take_no_single_state_walk(monkeypatch):
     # 2001 qualifying states share one component, profiled in one pass that
-    # reduces each of them once; no single-state profile runs beside it
+    # files each of them; no single-state profile runs beside it
     walks = _record_calls(monkeypatch, "length_profile", "lengths")
     passes = _record_calls(monkeypatch, "_reachable_profiles", "lengths")
-    reductions = _record_calls(monkeypatch, "_reduced", "lengths")
-    assert isinstance(syndetic_decide(multiples_of(2001, 2)), Syndetic)
-    assert (len(walks), len(passes), len(reductions)) == (0, 1, 2001)
+    s = multiples_of(2001, 2)
+    assert isinstance(syndetic_decide(s), Syndetic)
+    assert (len(walks), len(passes), len(s.profiles)) == (0, 1, 2001)
 
 
 def test_prime_cycles_are_profiled_one_component_at_a_time(monkeypatch):
@@ -589,13 +607,11 @@ def test_verifier_reads_the_witness_state_profile(capsys, tmp_path):
     assert capsys.readouterr().out.startswith("kind: nonempty\nm: 1\na: 2\nb: 1\n")
 
 
-def test_single_state_profile_walks_only_its_own_recurrence(monkeypatch):
-    # state 5 lies on a 999-state cycle: one component, whose other 998
-    # states nobody reads
-    reductions = _record_calls(monkeypatch, "_reduced", "lengths")
+def test_single_state_profile_reads_its_cycle_period():
+    # state 5 lies on a 999-state cycle: one component, all of whose states
+    # share the period 999
     prof = length_profile(chain(1000, 2).dfa, 5)
     assert prof.period == 999
-    assert len(reductions) == 1
 
 
 # -- syndeticity --------------------------------------------------------------
