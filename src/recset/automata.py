@@ -30,7 +30,9 @@ class Dfa:
 
     The constructor takes the (state, digit) -> state map, or a document's
     list of [from, digit, to] integer triples, and validates it in the same
-    pass that fills the rows; `transitions` gives the map back.  The
+    pass that fills the rows; `transitions` gives the map back.  Every count,
+    state and digit must be an `int`, not a `bool` or `float`, so whatever it
+    accepts is written as a document that reads back.  The
     library's own builders make rows directly with `_from_rows`, which skips
     validation.
     """
@@ -42,7 +44,11 @@ class Dfa:
 
     def __init__(self, alphabet_size: int, state_count: int, initial: int,
                  finals, transitions) -> None:
-        finals = frozenset(finals)
+        finals = tuple(finals)  # each final checked as given: a set would merge True into 1
+        for name, value in (("alphabet size", alphabet_size), ("state count", state_count),
+                            ("initial state", initial), *(("final state", s) for s in finals)):
+            if type(value) is not int:  # bool and float are not int
+                raise ValidationError(f"{name} must be an integer, not {type(value).__name__}")
         if alphabet_size < 2:
             raise ValidationError(f"alphabet size must be >= 2, got {alphabet_size}")
         if state_count < 1:
@@ -55,7 +61,8 @@ class Dfa:
             if not 0 <= s < state_count:
                 raise ValidationError(f"final state {s} out of range")
         if isinstance(transitions, dict):
-            transitions = [[s, d, t] for (s, d), t in transitions.items()]
+            # a key that is not a (state, digit) pair makes a list the shape check rejects
+            transitions = [[*k, t] if type(k) is tuple else [k, t] for k, t in transitions.items()]
         partial: dict[int, list[int]] = {}
         for i, triple in enumerate(transitions):
             if not (isinstance(triple, list) and len(triple) == 3
@@ -76,7 +83,7 @@ class Dfa:
         for s, row in partial.items():
             rows[s] = tuple(row)
         self.__dict__.update(alphabet_size=alphabet_size, initial=initial,
-                             finals=finals, rows=tuple(rows))
+                             finals=frozenset(finals), rows=tuple(rows))
 
     @classmethod
     def _from_rows(cls, alphabet_size: int, initial: int, finals, rows) -> Dfa:
@@ -101,6 +108,8 @@ class Dfa:
 
     def walk(self, state: int, word) -> int | None:
         """Follow a digit word; None as soon as a transition is missing."""
+        if type(state) is not int or not 0 <= state < len(self.rows):
+            raise ValidationError(f"state {state!r} out of range")
         for d in word:
             if not 0 <= d < self.alphabet_size:
                 raise ValidationError(f"digit {d} out of range for alphabet size {self.alphabet_size}")
@@ -303,7 +312,8 @@ class RecognizableSet:
     the automaton's acceptance of the empty word is deliberately ignored, so
     zero never needs an ambiguous empty representation.
 
-    Construction rejects automata that accept any word with a leading zero;
+    Construction rejects a `contains_zero` that is not a `bool`, and
+    automata that accept any word with a leading zero;
     use `restrict_to_canonical` first, or lenient document loading, to repair
     such automata.
     """
@@ -312,6 +322,9 @@ class RecognizableSet:
     contains_zero: bool = False
 
     def __post_init__(self):
+        if type(self.contains_zero) is not bool:
+            raise ValidationError(
+                f"contains_zero must be a boolean, not {type(self.contains_zero).__name__}")
         target = self.dfa.rows[self.dfa.initial][0]
         if target >= 0 and not self.dfa.finals.isdisjoint(_reachable(self.dfa.rows, [target])):
             raise ValidationError(

@@ -168,8 +168,7 @@ def _reachable_profiles(dfa: Dfa, comps) -> dict[int, UltimatePeriod]:
 
 def length_profile(dfa: Dfa, state: int) -> UltimatePeriod:
     """Ultimately periodic profile of the lengths accepted from `state`, by one engine run."""
-    if not 0 <= state < dfa.state_count:
-        raise ValidationError(f"state {state} out of range")
+    dfa.walk(state, ())  # checks the state
     return _reachable_profiles(dfa, _components(dfa.rows, [state]))[state]
 
 

@@ -21,6 +21,7 @@ from recset import (
     enumerate_elements,
     equivalent,
     example1,
+    length_profile,
     member,
     minimize,
     product,
@@ -79,6 +80,21 @@ def test_dfa_validation():
         Dfa(2, 1, 0, frozenset(), {(0, 0): 1})
     with pytest.raises(ValidationError):
         Dfa(2, 1, 0, frozenset(), {(0, 2): 0})
+    # a map key that is not a (state, digit) pair
+    for key in (5, (0,), (0, 0, 0), "ab"):
+        with pytest.raises(ValidationError, match=r"^transition #0 must be an integer triple"):
+            Dfa(2, 1, 0, frozenset(), {key: 0})
+
+
+def test_walk_and_length_profile_check_the_state():
+    # -1 would read the last row and True state 1's, as Python indexes them
+    dfa = example1().dfa
+    for state in (-1, dfa.state_count, True):
+        with pytest.raises(ValidationError, match=f"^state {state!r} out of range$"):
+            dfa.walk(state, [0])
+        with pytest.raises(ValidationError, match=f"^state {state!r} out of range$"):
+            length_profile(dfa, state)
+    assert dfa.walk(dfa.state_count - 1, [0]) == 1
 
 
 def test_accepts_on_example1():

@@ -6,6 +6,7 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recset import (
     Dfa,
@@ -198,6 +199,11 @@ SINGLE_FAULTS = {
     # no state at all leaves no valid initial state; the count is reported first
     "state_count": ({"state_count": 0, "finals": [], "transitions": []},
                     "state count must be >= 1, got 0"),
+    # booleans and floats are not integers, even where they equal one
+    "bool final": ({"finals": [1, True]}, "final state must be an integer, not bool"),
+    "float initial": ({"initial": 0.0}, "initial state must be an integer, not float"),
+    "bool base": ({"base": True}, "alphabet size must be an integer, not bool"),
+    "float state_count": ({"state_count": 3.0}, "state count must be an integer, not float"),
 }
 
 
@@ -210,3 +216,45 @@ def test_single_fault_messages_from_loader_and_constructor(fault):
     with pytest.raises(ValidationError) as built:
         Dfa(doc["base"], doc["state_count"], doc["initial"], doc["finals"], doc["transitions"])
     assert str(loaded.value) == str(built.value) == message
+
+
+def test_contains_zero_message_from_loader_and_constructor():
+    text = json.dumps(_doc(contains_zero=1))
+    with pytest.raises(ValidationError) as strict:
+        loads_automaton(text)
+    with pytest.raises(ValidationError) as lenient:
+        loads_automaton(text, strict=False)
+    with pytest.raises(ValidationError) as built:
+        RecognizableSet(example1().dfa, 1)
+    assert str(strict.value) == str(lenient.value) == str(built.value) == \
+        "contains_zero must be a boolean, not int"
+
+
+def _mostly(values):
+    """Mostly `values`, now and then as a bool or a float of the same value."""
+    return st.tuples(values, st.integers(0, 19)).map(
+        lambda vk: vk[0] if vk[1] > 1 else (bool(vk[0]) if vk[1] else float(vk[0])))
+
+
+@st.composite
+def _constructor_arguments(draw):
+    base, count = draw(_mostly(st.integers(2, 3))), draw(_mostly(st.integers(1, 4)))
+    state = _mostly(st.integers(0, int(count) - 1))
+    moves = draw(st.dictionaries(st.tuples(state, _mostly(st.integers(0, int(base) - 1))), state,
+                                 max_size=6))
+    transitions = moves if draw(st.booleans()) else [[s, d, t] for (s, d), t in moves.items()]
+    return (base, count, draw(state), draw(st.lists(state, max_size=3)), transitions,
+            draw(st.one_of(st.booleans(), st.sampled_from([0, 1, 1.0]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_constructor_arguments())
+def test_every_set_the_constructors_accept_reads_back(args):
+    *dfa_args, contains_zero = args
+    try:
+        s = RecognizableSet(Dfa(*dfa_args), contains_zero)
+    except ValidationError:
+        return
+    loaded = loads_automaton(dumps_automaton(s))
+    assert loaded.dfa == s.dfa
+    assert loaded.contains_zero is s.contains_zero

@@ -296,6 +296,18 @@ def test_verify_rejects_tampered_witness():
             IntervalWitness(*params, w.state, w.kind)
     with pytest.raises(ValidationError):
         IntervalWitness(w.m, w.a, w.b, w.state, "full")
+    # a parameter of 0 set past the constructor: the verifiers check again, as
+    # b = 0 would divide by zero in the stride count
+    from dataclasses import replace
+    cert = cross_base_refute(full_set(3), s)
+    assert verify_contradiction(cert, full_set(3), s)
+    for field in ("m", "a", "b"):
+        bad = replace(w)
+        object.__setattr__(bad, field, 0)
+        assert not verify_interval_witness(s, bad)
+        ew = replace(cert.base_q_witness)
+        object.__setattr__(ew, field, 0)
+        assert not verify_contradiction(replace(cert, base_q_witness=ew), full_set(3), s)
 
 
 def test_verify_rejects_family_that_fails_only_at_k_9():
