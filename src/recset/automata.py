@@ -295,6 +295,12 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
             and is_empty_language(product(d2, d1, "difference")))
 
 
+def _accepts_leading_zero(dfa: Dfa) -> bool:
+    """Does the automaton accept a word that starts with the digit 0?"""
+    target = dfa.rows[dfa.initial][0]
+    return target >= 0 and not dfa.finals.isdisjoint(_reachable(dfa.rows, [target]))
+
+
 def restrict_to_canonical(dfa: Dfa) -> Dfa:
     """The accepted words with no leading zero: a fresh start numbered `state_count`,
     final iff the old start is, reads the old start's nonzero digits; nothing else changes."""
@@ -325,8 +331,7 @@ class RecognizableSet:
         if type(self.contains_zero) is not bool:
             raise ValidationError(
                 f"contains_zero must be a boolean, not {type(self.contains_zero).__name__}")
-        target = self.dfa.rows[self.dfa.initial][0]
-        if target >= 0 and not self.dfa.finals.isdisjoint(_reachable(self.dfa.rows, [target])):
+        if _accepts_leading_zero(self.dfa):
             raise ValidationError(
                 "automaton accepts a word with a leading zero; "
                 "apply restrict_to_canonical() or load leniently")

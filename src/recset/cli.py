@@ -172,11 +172,10 @@ def _cmd_syndetic(args) -> int:
               "contain no elements; their lengths grow without bound, so "
               "consecutive gaps are unbounded")
         return 1
-    cert = verdict.certificate
     print("verdict: syndetic")
-    print(f"C: {cert.threshold}")
-    print(f"bound: {cert.bound}")
-    thresholds = " ".join(f"{st}={c}" for st, c in sorted(cert.per_state_thresholds.items()))
+    print(f"C: {verdict.threshold}")
+    print(f"bound: {verdict.bound}")
+    thresholds = " ".join(f"{st}={c}" for st, c in sorted(verdict.per_state_thresholds.items()))
     print(f"state_thresholds: {thresholds}")
     return 0
 

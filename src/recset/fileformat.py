@@ -14,8 +14,9 @@ One JSON object per automaton:
 
 Strict loading (the default) rejects unknown fields and automata accepting a
 word with a leading zero; lenient loading tolerates unknown fields and repairs
-leading-zero acceptance with a fresh start state, numbered `state_count`, that
-reads only the old start's nonzero digits; every document state keeps its number.
+only leading-zero acceptance, with a fresh start state, numbered `state_count`,
+that reads only the old start's nonzero digits; every document state keeps its
+number, and every other fault is reported as strict loading reports it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .automata import Dfa, RecognizableSet, restrict_to_canonical
+from .automata import Dfa, RecognizableSet, _accepts_leading_zero, restrict_to_canonical
 from .errors import ValidationError
 
 FORMAT_VERSION = 1
@@ -47,7 +48,8 @@ def document_from_set(s: RecognizableSet) -> dict:
 
 
 def set_from_document(doc, *, strict: bool = True) -> RecognizableSet:
-    """Check the object, its fields and version and build the set, which checks the values."""
+    """Check the object, its fields and version and build the set, which checks the values;
+    lenient loading first repairs the automaton, only if it accepts a leading zero."""
     if not isinstance(doc, dict):
         raise ValidationError("automaton document must be a JSON object")
     missing = [f for f in _FIELDS if f not in doc]
@@ -65,12 +67,9 @@ def set_from_document(doc, *, strict: bool = True) -> RecognizableSet:
     if not isinstance(doc["transitions"], list):
         raise ValidationError("field 'transitions' must be a list of [from, digit, to] triples")
     dfa = Dfa(doc["base"], doc["state_count"], doc["initial"], doc["finals"], doc["transitions"])
-    try:
-        return RecognizableSet(dfa, doc["contains_zero"])
-    except ValidationError:
-        if strict:
-            raise
-        return RecognizableSet(restrict_to_canonical(dfa), doc["contains_zero"])
+    if not strict and _accepts_leading_zero(dfa):
+        dfa = restrict_to_canonical(dfa)
+    return RecognizableSet(dfa, doc["contains_zero"])
 
 
 def dumps_automaton(s: RecognizableSet) -> str:

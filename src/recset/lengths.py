@@ -32,26 +32,30 @@ class UltimatePeriod:
     """Minimal eventually-periodic description of a 0/1 sequence.
 
     bit(n) == head_bits[n] for n < preperiod, and
-    bit(n) == cycle_bits[(n - preperiod) % period] for n >= preperiod.
-    Both preperiod and period are minimal for the sequence; the engine files
-    the bits as bytes of 0/1 values, one byte per length.
+    bit(n) == cycle_bits[(n - preperiod) % period] for n >= preperiod; both
+    lengths, preperiod and period, are minimal for the sequence.  The engine
+    files the bits as bytes of 0/1 values, one byte per length.
     """
 
-    preperiod: int
-    period: int
     head_bits: bytes
     cycle_bits: bytes
 
     def __post_init__(self):
-        if self.period < 1:
-            raise ValidationError(f"period must be >= 1, got {self.period}")
-        if len(self.head_bits) != self.preperiod or len(self.cycle_bits) != self.period:
-            raise ValidationError("bit sequences do not match preperiod/period")
+        if not self.cycle_bits:
+            raise ValidationError("cycle_bits must be nonempty: the period is >= 1")
+
+    @property
+    def preperiod(self) -> int:
+        return len(self.head_bits)
+
+    @property
+    def period(self) -> int:
+        return len(self.cycle_bits)
 
     def bit(self, n: int) -> int:
-        if n < self.preperiod:
+        if n < len(self.head_bits):
             return self.head_bits[n]
-        return self.cycle_bits[(n - self.preperiod) % self.period]
+        return self.cycle_bits[(n - len(self.head_bits)) % len(self.cycle_bits)]
 
 
 def _min_period(seq, a: int, window: int) -> int:
@@ -128,7 +132,7 @@ def _reachable_profiles(dfa: Dfa, comps) -> dict[int, UltimatePeriod]:
                     preds[j] |= bit
                 elif t >= 0:
                     exits[t] = exits.get(t, 0) | bit
-        outside = [(p.head_bits + p.cycle_bits, p.preperiod, p.period, mask)
+        outside = [(p.head_bits + p.cycle_bits, len(p.head_bits), len(p.cycle_bits), mask)
                    for t, mask in exits.items() for p in (profiles[t],)]
         settled = max((start for _, start, _, _ in outside), default=0)
         lcm = math.lcm(*(cycle for _, _, cycle, _ in outside))
@@ -162,7 +166,7 @@ def _reachable_profiles(dfa: Dfa, comps) -> dict[int, UltimatePeriod]:
             bits, pre = rows[i // 8::width].translate(_BIT[i % 8]), a
             while pre > 0 and bits[pre - 1] == bits[pre - 1 + period]:
                 pre -= 1
-            profiles[s] = UltimatePeriod(pre, period, bits[:pre], bits[pre:pre + period])
+            profiles[s] = UltimatePeriod(bits[:pre], bits[pre:pre + period])
     return profiles
 
 

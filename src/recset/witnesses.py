@@ -60,20 +60,6 @@ class IntervalWitness:
 
 
 @dataclass(frozen=True)
-class SyndeticCertificate:
-    """Certificate that every interval of length `bound` = 2*base**threshold meets the set.
-
-    `per_state_thresholds` maps each qualifying state (reachable by a digit
-    word with nonzero leading digit) to the first length from which all longer
-    extensions are accepted; `threshold` is their maximum.
-    """
-
-    threshold: int
-    bound: int
-    per_state_thresholds: dict[int, int]
-
-
-@dataclass(frozen=True)
 class Finite:
     """Verdict: the set is finite, so syndeticity does not apply."""
 
@@ -87,9 +73,15 @@ class NotSyndetic:
 
 @dataclass(frozen=True)
 class Syndetic:
-    """Verdict: gaps are bounded by the certified bound."""
+    """Verdict: every interval of length `bound` = 2*base**threshold meets the set.
 
-    certificate: SyndeticCertificate
+    `threshold` is the largest of `per_state_thresholds`: for each qualifying
+    state, the first length from which it accepts every longer extension.
+    """
+
+    threshold: int
+    bound: int
+    per_state_thresholds: dict[int, int]
 
 
 SyndeticVerdict = Union[Finite, NotSyndetic, Syndetic]
@@ -242,7 +234,7 @@ def syndetic_decide(s: RecognizableSet) -> SyndeticVerdict:
         return NotSyndetic(w)
     thresholds = {st: cofinite_threshold(profiles[st]) for st in sorted(profiles)}
     c = max(thresholds.values(), default=0)
-    return Syndetic(SyndeticCertificate(c, 2 * s.base**c, thresholds))
+    return Syndetic(c, 2 * s.base**c, thresholds)
 
 
 def gap_scan(s: RecognizableSet, horizon: int) -> GapScanResult:

@@ -236,7 +236,7 @@ def walk_profile(dfa: Dfa, state: int) -> UltimatePeriod:
                   and all(bits[pre + i] == bits[pre + (i + c) % window] for i in range(window)))
     while pre > 0 and bits[pre - 1] == bits[pre - 1 + period]:
         pre -= 1
-    return UltimatePeriod(pre, period, bytes(bits[:pre]), bytes(bits[pre:pre + period]))
+    return UltimatePeriod(bytes(bits[:pre]), bytes(bits[pre:pre + period]))
 
 
 def scan_elements(s: RecognizableSet, bound: int) -> list[int]:

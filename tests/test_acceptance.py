@@ -187,16 +187,16 @@ def test_criterion_5_syndetic_bound_sound_on_corpus():
         if not isinstance(verdict, Syndetic):
             continue
         syndetic_count += 1
-        bound = verdict.certificate.bound
+        bound = verdict.bound
         horizon = max(100_000, 4 * bound * s.base)
         assert gap_scan(s, horizon).max_gap <= bound
     m3 = syndetic_decide(multiples_of(3, 2))
     assert isinstance(m3, Syndetic)
     empirical = gap_scan(multiples_of(3, 2), 10_000).max_gap
-    assert empirical == 3 <= m3.certificate.bound
+    assert empirical == 3 <= m3.bound
     elapsed = time.perf_counter() - start
     _report(5, f"gap bound holds on {syndetic_count} syndetic sets; "
-               f"multiples of 3: max gap {empirical} <= {m3.certificate.bound} "
+               f"multiples of 3: max gap {empirical} <= {m3.bound} "
                f"({elapsed:.2f}s)")
 
 

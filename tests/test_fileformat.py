@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,10 +22,11 @@ from recset import (
     member,
     minimize,
     read_automaton,
+    restrict_to_canonical,
     set_from_document,
     write_automaton,
 )
-from recset.automata import empty_dfa
+from recset.automata import _accepts_leading_zero, empty_dfa
 from conftest import finite_set, multiples_of, powers_of_two, random_recognizable_sets
 
 
@@ -157,7 +159,20 @@ def test_integer_past_the_digit_limit_is_validation_error():
         sys.set_int_max_str_digits(old)
 
 
-def test_leading_zero_acceptance_strict_vs_lenient():
+def _count_repairs(monkeypatch) -> list:
+    """Count the loader's `restrict_to_canonical` calls, one list entry each."""
+    calls = []
+
+    def counted(dfa):
+        calls.append(dfa)
+        return restrict_to_canonical(dfa)
+
+    monkeypatch.setattr("recset.fileformat.restrict_to_canonical", counted)
+    return calls
+
+
+def test_leading_zero_acceptance_strict_vs_lenient(monkeypatch):
+    repairs = _count_repairs(monkeypatch)
     doc = {
         "format_version": 1, "base": 2, "state_count": 2, "initial": 0,
         "finals": [1], "contains_zero": False,
@@ -166,9 +181,13 @@ def test_leading_zero_acceptance_strict_vs_lenient():
     with pytest.raises(ValidationError, match="leading zero"):
         set_from_document(doc)
     repaired = set_from_document(doc, strict=False)
+    assert len(repairs) == 1
     assert not accepts(repaired.dfa, [0, 1])
     for n in range(1, 50):
         assert member(repaired, n)
+    # a document that accepts no leading zero loads leniently as it loads strictly
+    assert set_from_document(_doc(), strict=False).dfa == set_from_document(_doc()).dfa
+    assert len(repairs) == 1
 
 
 def test_read_missing_file_is_validation_error(tmp_path):
@@ -218,12 +237,14 @@ def test_single_fault_messages_from_loader_and_constructor(fault):
     assert str(loaded.value) == str(built.value) == message
 
 
-def test_contains_zero_message_from_loader_and_constructor():
+def test_contains_zero_message_from_loader_and_constructor(monkeypatch):
+    repairs = _count_repairs(monkeypatch)
     text = json.dumps(_doc(contains_zero=1))
     with pytest.raises(ValidationError) as strict:
         loads_automaton(text)
     with pytest.raises(ValidationError) as lenient:
         loads_automaton(text, strict=False)
+    assert repairs == []  # example1 accepts no leading zero: nothing to repair
     with pytest.raises(ValidationError) as built:
         RecognizableSet(example1().dfa, 1)
     assert str(strict.value) == str(lenient.value) == str(built.value) == \
@@ -258,3 +279,31 @@ def test_every_set_the_constructors_accept_reads_back(args):
     loaded = loads_automaton(dumps_automaton(s))
     assert loaded.dfa == s.dfa
     assert loaded.contains_zero is s.contains_zero
+
+
+@st.composite
+def _small_partial_dfas(draw) -> Dfa:
+    """Partial automata of up to 4 states over bases 2, 3 and 10."""
+    base, n = draw(st.sampled_from((2, 3, 10))), draw(st.integers(1, 4))
+    state = st.integers(0, n - 1)
+    transitions = draw(st.dictionaries(st.tuples(state, st.integers(0, base - 1)), state))
+    return Dfa(base, n, draw(state), draw(st.frozensets(state)), transitions)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_small_partial_dfas())
+def test_leading_zero_rule_is_one_predicate_for_both_loaders(dfa):
+    # a word 0w with |w| >= state_count repeats a state, so shorter words suffice
+    brute = any(accepts(dfa, (0, *w)) for k in range(dfa.state_count)
+                for w in product(range(dfa.alphabet_size), repeat=k))
+    assert _accepts_leading_zero(dfa) == brute
+    doc = {"format_version": 1, "base": dfa.alphabet_size, "state_count": dfa.state_count,
+           "initial": dfa.initial, "finals": sorted(dfa.finals), "contains_zero": False,
+           "transitions": [[s, d, t] for (s, d), t in dfa.transitions.items()]}
+    lenient = set_from_document(doc, strict=False).dfa
+    if brute:
+        with pytest.raises(ValidationError, match="leading zero"):
+            set_from_document(doc)
+        assert lenient == restrict_to_canonical(dfa)
+    else:
+        assert set_from_document(doc).dfa == lenient == dfa

@@ -165,13 +165,13 @@ def test_profile_cap(monkeypatch):
 
 
 def test_cofinite_threshold_cases():
-    always = UltimatePeriod(0, 1, (), (1,))
+    always = UltimatePeriod((), (1,))
     assert cofinite_threshold(always) == 0
     odd_lengths = length_profile(example1().dfa, 0)
     assert cofinite_threshold(odd_lengths) is None
-    delayed = UltimatePeriod(3, 1, (0, 1, 0), (1,))
+    delayed = UltimatePeriod((0, 1, 0), (1,))
     assert cofinite_threshold(delayed) == 3
-    trailing_ones = UltimatePeriod(3, 1, (0, 1, 1), (1,))
+    trailing_ones = UltimatePeriod((0, 1, 1), (1,))
     assert cofinite_threshold(trailing_ones) == 1
 
 
@@ -186,9 +186,7 @@ def test_cofinite_threshold_absent_iff_cycle_has_zero():
 
 def test_ultimate_period_validation():
     with pytest.raises(ValidationError):
-        UltimatePeriod(0, 0, (), ())
-    with pytest.raises(ValidationError):
-        UltimatePeriod(2, 1, (1,), (0,))
+        UltimatePeriod((), ())
 
 
 def test_profiles_of_mod3_base2_states():

@@ -538,7 +538,7 @@ def test_a_long_acyclic_path_keeps_its_table_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert isinstance(verdict, Syndetic) and verdict.certificate.threshold == 1999
+    assert isinstance(verdict, Syndetic) and verdict.threshold == 1999
     assert peak < 8 << 20
 
 
@@ -639,24 +639,23 @@ def test_syndetic_verdicts_on_corpus(corpus):
 
 def test_syndetic_certificate_multiples_of_3():
     verdict = syndetic_decide(multiples_of(3, 2))
-    cert = verdict.certificate
-    assert cert.threshold == 2
-    assert cert.bound == 8
-    assert cert.per_state_thresholds == {1: 1, 2: 2, 3: 0}
-    assert gap_scan(multiples_of(3, 2), 10_000).max_gap == 3 <= cert.bound
+    assert verdict.threshold == 2
+    assert verdict.bound == 8
+    assert verdict.per_state_thresholds == {1: 1, 2: 2, 3: 0}
+    assert gap_scan(multiples_of(3, 2), 10_000).max_gap == 3 <= verdict.bound
 
 
 def test_syndetic_certificate_naturals():
     verdict = syndetic_decide(full_set(2))
-    assert verdict.certificate.threshold == 0
-    assert verdict.certificate.bound == 2
+    assert verdict.threshold == 0
+    assert verdict.bound == 2
 
 
 def test_syndetic_bound_is_sound_on_random_corpus():
     for s in random_recognizable_sets(909, 10):
         verdict = syndetic_decide(s)
         if isinstance(verdict, Syndetic):
-            bound = verdict.certificate.bound
+            bound = verdict.bound
             horizon = max(100_000, 4 * bound * s.base)
             assert gap_scan(s, horizon).max_gap <= bound
         else:
