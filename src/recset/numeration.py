@@ -7,14 +7,13 @@ which is what makes prefix-interval arguments work.
 
 from __future__ import annotations
 
-import decimal
 from dataclasses import dataclass
 
 from .errors import PreconditionError, RecsetError, SearchCapExceededError, ValidationError
 
 MAX_CERTIFICATE_BITS = 1 << 23  # building 3**e took 1.6 s at this size, 0.63 s at half of it
 _SCALE = 1 << 64  # kronecker_witness's fixed point
-_LN2 = int(decimal.Context(prec=40).multiply(decimal.Context(prec=40).ln(2), _SCALE))  # sizes only
+_LN2 = sum((2 << 272) // ((2 * j + 1) * 3 ** (2 * j + 1)) for j in range(88)) >> 16  # floor(2**256 ln 2)
 _LOOP_BITS = 1536  # encode and decode keep the per-digit loop up to here: splitting saves microseconds
 
 
@@ -154,24 +153,47 @@ def _first_hit(a: int, b: int, m: int, w: int) -> int | None:
     return None if j is None else ((j + 1) * m - b + a - 1) // a
 
 
+def _ln_fixed(u: int, v: int) -> int:
+    """round(ln(u/v) * _SCALE) within one unit, for positive ints u and v (bound: kronecker_witness)."""
+    e = u.bit_length() - v.bit_length()
+    u, v = (u, v << e) if e >= 0 else (u << -e, v)  # u/v in (1/2, 2)
+    shift = (3 * u > 4 * v) - (3 * u < 2 * v)  # u/v in [2/3, 4/3] after it
+    e, u, v = e + shift, u << (shift < 0), v << (shift > 0)
+    prec = 76 + abs(e).bit_length()  # at most 256 while |e| < 2**180
+    term = (abs(u - v) << prec) // (u + v)  # |z|: a floor shift of a negative term never reaches 0
+    z2, series, j = term * term >> prec, 0, 1
+    while term:
+        series, term, j = series + term // j, term * z2 >> prec, j + 2
+    total = e * (_LN2 >> (256 - prec)) + (2 * series if u >= v else -2 * series)
+    return (total + (1 << (prec - 65))) >> (prec - 64)
+
+
 def kronecker_witness(m: int, n: int, a: int, b: int, c: int, d: int,
                       p: int, q: int) -> KroneckerWitness:
     """Smallest (by l, then k) exponent pair nesting the intervals, by an exact search.
 
     The pair nests exactly when b*k*ln p is in [t + ln(n/m), t + ln((n+1)/(m+1))],
     t = (c+d*l)*ln q - a*ln p.  Times F = _SCALE, ln p, ln q and the two ends round
-    to integers lp, lq, r0, r1 within one unit: `decimal`'s ln is correctly rounded,
-    and the precision keeps the roundings of n/m, ln and the scaling under 1/8
-    unit, each logarithm being below the bit length.  A pair whose powers fit
-    B = MAX_CERTIFICATE_BITS bits has exponents under B, as p**(a+b*k) <
-    q**(c+d*l), so its integer chain errs by at most (c+d*l) + (a+b*k) + 1 <
-    E = 4*B units: k*b*lp is in [Y(l), Y(l) + W], Y(l) = (c+d*l)*lq - a*lp + r0 - E,
-    W = r1 - r0 + 2*E.  So its l is a hit (-Y(l)) % (b*lp) <= W of a rotation,
-    found in order by `_first_hit`, and `verify_kronecker` checks each hit's one
-    or two k exactly; at B = 2**23, E is 2**-38 of a turn, so few hits fail.
-    Independent bases always have a pair ({l*d*ln q / (b*ln p)} is dense), so B
-    only guards outside input: a pair whose larger power would pass it, (1, 1)
-    first, raises SearchCapExceededError naming l, k and the size.
+    to integers lp, lq, r0, r1 within one unit, by `_ln_fixed`: e from the bit
+    lengths puts y = u/(v*2**e) in [2/3, 4/3], so z = (y-1)/(y+1) has |z| <= 1/5,
+    and ln(u/v) = e*ln 2 + 2*atanh(z), atanh(z) = sum of z**(2j+1)/(2j+1).  At
+    P = 76 + bitlen(|e|) bits z floors low by under a unit of 2**-P, and each term,
+    a floored product with floored z**2, by under 1.25, 2.25 once divided; terms
+    shrink 25-fold, so at most P/4 + 1 are added before one floors to 0, and the
+    tail left is under 1.5.  So 2*atanh(z) is low by under 2**9 units, 1/8 of a unit
+    of F.  _LN2 sums 2*atanh(1/3) to 2**-272, low by under 2**-9 of a unit of
+    2**-256, and 2**256 ln 2 has fraction 0.905, so _LN2 is its floor; cut to P
+    bits, times |e| < 2**bitlen(|e|), it errs by under 2**-11 of F (P <= 256 for any
+    |e| < 2**180), and the rounded sum is within 5/8.  A pair whose powers fit
+    B = MAX_CERTIFICATE_BITS bits has exponents under B, as p**(a+b*k) < q**(c+d*l),
+    so its integer chain errs by at most (c+d*l) + (a+b*k) + 1 < E = 4*B units:
+    k*b*lp is in [Y(l), Y(l) + W], Y(l) = (c+d*l)*lq - a*lp + r0 - E,
+    W = r1 - r0 + 2*E.  So its l is a hit (-Y(l)) % (b*lp) <= W of a rotation, found
+    in order by `_first_hit`, and `verify_kronecker` checks each hit's one or two k
+    exactly; at B = 2**23, E is 2**-38 of a turn, so few hits fail.  Independent
+    bases always have a pair ({l*d*ln q / (b*ln p)} is dense), so B only guards
+    outside input: a pair whose larger power would pass it, (1, 1) first, raises
+    SearchCapExceededError naming l, k and the size.
     """
     for name, value in (("m", m), ("n", n), ("a", a), ("b", b), ("c", c), ("d", d)):
         if value < 1:
@@ -180,12 +202,10 @@ def kronecker_witness(m: int, n: int, a: int, b: int, c: int, d: int,
         raise PreconditionError(f"need n < m, got n={n}, m={m}")
     require_independent(p, q)
 
-    ctx = decimal.Context(prec=len(str(8 * _SCALE * (max(p, q, m + 1).bit_length() + 1))) + 1)
-    lp, lq, r0, r1 = (int(ctx.to_integral_value(ctx.multiply(ctx.ln(x), _SCALE)))
-                      for x in (p, q, ctx.divide(n, m), ctx.divide(n + 1, m + 1)))
+    lp, lq, r0, r1 = _ln_fixed(p, 1), _ln_fixed(q, 1), _ln_fixed(n, m), _ln_fixed(n + 1, m + 1)
 
     def guard(ell: int, k: int) -> None:
-        if (size := max((a + b * k) * lp, (c + d * ell) * lq) // _LN2 + 1) > MAX_CERTIFICATE_BITS:
+        if (size := (max((a + b * k) * lp, (c + d * ell) * lq) << 192) // _LN2 + 1) > MAX_CERTIFICATE_BITS:
             # str() of a size past 2**8192 could pass the int-to-str limit: name its bit length
             text = f"about {size}" if size.bit_length() <= 8192 else f"more than 2^{size.bit_length() - 1}"
             raise SearchCapExceededError(f"exponent pair l={ell}, k={k} needs a power of {text} bits,"

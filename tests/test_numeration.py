@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 import re
@@ -22,7 +23,7 @@ from recset import (
     mult_independent,
     verify_kronecker,
 )
-from recset.numeration import IndependenceVerdict, _first_hit
+from recset.numeration import _LN2, IndependenceVerdict, _first_hit, _ln_fixed
 
 
 def test_encode_basics():
@@ -278,6 +279,27 @@ def test_kronecker_exact_check_rejects_a_bracket_survivor(monkeypatch):
     assert _least_exact_pair(*args, limit=2) == (7, 2)
 
 
+class _NoLnContext(decimal.Context):
+    def ln(self, x):
+        raise AssertionError("decimal ln called")
+
+
+class _NoLnDecimal(decimal.Decimal):
+    def ln(self, context=None):
+        raise AssertionError("decimal ln called")
+
+
+@pytest.fixture
+def no_decimal_ln(monkeypatch):
+    """The search runs on integer logarithms: any `decimal` ln raises (its types are immutable, so swap them)."""
+    import recset.numeration as numeration
+    assert not hasattr(numeration, "decimal")
+    monkeypatch.setattr(decimal, "Context", _NoLnContext)
+    monkeypatch.setattr(decimal, "Decimal", _NoLnDecimal)
+    with pytest.raises(AssertionError, match="decimal ln called"):
+        decimal.Context(prec=20).ln(2)
+
+
 @pytest.mark.parametrize("args, witness", [
     ((20, 19, 3, 3, 5, 5, 2, 3), KroneckerWitness(k=15912, ell=6023)),
     ((101, 100, 2, 1, 3, 2, 10, 3), KroneckerWitness(k=2490, ell=2610)),
@@ -285,7 +307,7 @@ def test_kronecker_exact_check_rejects_a_bracket_survivor(monkeypatch):
     ((300, 299, 1, 1, 1, 1, 2, 3), KroneckerWitness(k=4868, ell=3071)),
     ((1000, 999, 1, 1, 1, 1, 2, 3), KroneckerWitness(k=149984, ell=94629)),
 ])
-def test_kronecker_golden_least_witness_for_a_long_search(args, witness):
+def test_kronecker_golden_least_witness_for_a_long_search(args, witness, no_decimal_ln):
     # thousands of l to try: building every power exactly took seconds;
     # the search jumps from hit to hit and builds only the answer's powers
     start = time.perf_counter()
@@ -413,7 +435,7 @@ def _float_scan(m, n, a, b, c, d, p, q, limit):
     return None
 
 
-def test_kronecker_matches_the_float_scan_on_a_grid():
+def test_kronecker_matches_the_float_scan_on_a_grid(no_decimal_ln):
     # 3 300 tuples: 10 base pairs, every 1 <= n < m <= 12, five (a, b, c, d)
     bases = [(2, 3), (3, 2), (2, 5), (5, 2), (3, 5), (2, 7), (7, 3), (10, 3), (3, 10), (6, 5)]
     exponents = [(1, 1, 1, 1), (2, 1, 3, 2), (1, 3, 1, 2), (5, 2, 1, 1), (3, 4, 7, 3)]
@@ -426,6 +448,32 @@ def test_kronecker_matches_the_float_scan_on_a_grid():
                     assert kronecker_witness(*args) == _float_scan(*args, limit=20_000), args
                     checked += 1
     assert checked == 3300
+
+
+def test_ln_fixed_matches_a_decimal_oracle():
+    # 2**64 * ln(u/v) from an 80-digit reference; the integer series is within one unit of it
+    rng = random.Random(64)
+    cases = [(p, 1) for p in range(2, 201)]
+    cases += [(n + i, m + i) for m in range(2, 61) for n in range(1, m) for i in (0, 1)]
+    for digits in (20, 400):
+        cases += [(rng.randrange(10 ** (digits - 1), 10**digits), rng.randrange(10 ** (digits - 1), 10**digits))
+                  for _ in range(100)]
+    # the ends of the reduced range [2/3, 4/3], exactly and within 10**-30, also after a shift by 2**40
+    for u, v in ((2, 3), (4, 3)):
+        cases += [(u, v), (u << 40, v), (u, v << 40)]
+        cases += [(u * 10**30 + delta, v * 10**30) for delta in (-3, -1, 1, 3)]
+    cases += [(7, 7), (10**400, 1), (1, 10**400), (2**5000 + 1, 2**5000), (2**64 + 1, 1), (2**64 - 1, 1)]
+    assert len(cases) == 3_959
+    ctx = decimal.Context(prec=80)
+    for u, v in cases:
+        exact = ctx.multiply(ctx.ln(ctx.divide(u, v)), 2**64)
+        assert abs(ctx.subtract(_ln_fixed(u, v), exact)) < 1, (u, v)
+
+
+def test_ln2_constant_is_the_floor_of_its_256_bit_scaling():
+    # 2**256 * ln 2 has 77 integer digits, so 100 digits leave 23 after the point; int() floors it
+    ctx = decimal.Context(prec=100)
+    assert _LN2 == int(ctx.multiply(ctx.ln(2), 2**256))
 
 
 def test_first_hit_matches_brute_force():
