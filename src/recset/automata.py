@@ -476,12 +476,12 @@ def iter_elements(s: RecognizableSet) -> Iterator[int]:
     return chain((0,), values) if s.contains_zero else values
 
 
-def enumerate_elements(s: RecognizableSet, limit: int) -> list[int]:
-    """The first `limit` elements in increasing order (all of them if fewer exist)."""
+def enumerate_elements(s: RecognizableSet, limit: int) -> Iterator[int]:
+    """The first `limit` elements in increasing order (all of them if fewer exist), lazily."""
     if limit < 0:
         raise ValidationError(f"limit must be >= 0, got {limit}")
-    # no list holds more than sys.maxsize items, and islice takes no larger stop
-    return list(islice(iter_elements(s), min(limit, sys.maxsize)))
+    # islice takes no stop past sys.maxsize, and no run reads that far
+    return islice(iter_elements(s), min(limit, sys.maxsize))
 
 
 def right_dense(s: RecognizableSet) -> bool:

@@ -79,7 +79,7 @@ def test_criterion_1_right_dense_but_not_syndetic():
         expected.extend(range(4**i, min(2 * 4**i, BIG_ENOUGH + 1)))
         i += 1
     from recset import enumerate_elements
-    got = enumerate_elements(s, len(expected))
+    got = list(enumerate_elements(s, len(expected)))
     assert got == expected
     assert got[-1] <= BIG_ENOUGH
 

@@ -181,7 +181,7 @@ def test_enumeration_of_a_finite_set_ignores_stray_cycles():
     dfa = Dfa(2, 6, 0, {1, 2, 5}, {(0, 0): 3, (0, 1): 1, (1, 0): 2, (1, 1): 2, (2, 0): 3,
                                    (2, 1): 3, (3, 0): 4, (3, 1): 4, (4, 0): 3, (4, 1): 3,
                                    (5, 0): 5, (5, 1): 5})
-    assert enumerate_elements(RecognizableSet(dfa), 100) == [1, 2, 3]
+    assert list(enumerate_elements(RecognizableSet(dfa), 100)) == [1, 2, 3]
 
 
 def test_minimize_preserves_membership_on_random_sets():
@@ -381,17 +381,17 @@ def test_right_dense_zero_only_set():
 
 
 def test_enumerate_example1():
-    assert enumerate_elements(example1(), 7) == [1, 4, 5, 6, 7, 16, 17]
+    assert list(enumerate_elements(example1(), 7)) == [1, 4, 5, 6, 7, 16, 17]
 
 
 def test_enumerate_empty_and_finite():
-    assert enumerate_elements(finite_set(set(), 2), 10) == []
-    assert enumerate_elements(finite_set({0, 3, 9}, 2), 10) == [0, 3, 9]
-    assert enumerate_elements(finite_set({5}, 3), 0) == []
+    assert list(enumerate_elements(finite_set(set(), 2), 10)) == []
+    assert list(enumerate_elements(finite_set({0, 3, 9}, 2), 10)) == [0, 3, 9]
+    assert list(enumerate_elements(finite_set({5}, 3), 0)) == []
 
 
 def test_enumerate_takes_a_limit_past_the_largest_list():
-    assert enumerate_elements(finite_set({0, 3, 9}, 2), 2**64) == [0, 3, 9]
+    assert list(enumerate_elements(finite_set({0, 3, 9}, 2), 2**64)) == [0, 3, 9]
 
 
 def test_enumerate_matches_scan_on_random_sets():
@@ -442,7 +442,7 @@ def test_ordered_values_match_every_word(base, longest):
 def test_enumerate_big_scan_cross_check():
     s = random_recognizable_sets(505, 1)[0]
     expected = scan_elements(s, 100_000)
-    got = enumerate_elements(s, len(expected))
+    got = list(enumerate_elements(s, len(expected)))
     assert got == expected
 
 
@@ -450,7 +450,7 @@ def test_enumeration_is_lazy_within_a_length():
     # the first length of this chain holds 2**18 elements; only 3 are asked for
     tracemalloc.start()
     try:
-        got = enumerate_elements(chain(20, 2), 3)
+        got = list(enumerate_elements(chain(20, 2), 3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -469,7 +469,7 @@ def test_enumeration_scans_layers_only_to_the_first_repeat(monkeypatch):
             yield layer
 
     monkeypatch.setattr(automata, "_exact_depth_layers", spy)
-    got = enumerate_elements(example1(), 100)
+    got = list(enumerate_elements(example1(), 100))
     assert got == [n for n in range(1, 1 << 9) if example1_oracle(n)][:100]
     scans = len({id(layer) for layer in seen}) - 1  # the first layer is the finals, not a scan
     assert scans <= 3
@@ -477,7 +477,7 @@ def test_enumeration_scans_layers_only_to_the_first_repeat(monkeypatch):
     # element per odd length 1..199
     seen.clear()
     powers_of_4 = RecognizableSet(Dfa(2, 3, 0, {1}, {(0, 1): 1, (1, 0): 2, (2, 0): 1}))
-    got = enumerate_elements(powers_of_4, 100)
+    got = list(enumerate_elements(powers_of_4, 100))
     assert got == [4**i for i in range(100)]
     scans = len({id(layer) for layer in seen}) - 1
     assert scans <= 3

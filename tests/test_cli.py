@@ -12,6 +12,7 @@ import tracemalloc
 
 import pytest
 
+import recset
 from recset import write_automaton
 from recset.cli import main
 from conftest import finite_set, full_set, multiples_of, powers_of_two, prime_cycles
@@ -44,6 +45,49 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+CLI = ("-m", "recset.cli")
+
+
+def child(*args, **kwargs) -> subprocess.Popen:
+    """`python *args` in a child process that imports this checkout's recset, output piped."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(recset.__file__)))
+    return subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env, **kwargs)
+
+
+def within_10_s(*args) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of `child(*args)`; a run past 10 s fails its test."""
+    with child(*args) as proc:
+        try:
+            out, err = proc.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+    return proc.returncode, out, err
+
+
+def put_document(tmp_path, name, **fields) -> str:
+    """A base-2 automaton document from `fields`, written as JSON; its path."""
+    path = tmp_path / f"{name}.aut"
+    path.write_text(json.dumps({"format_version": 1, "base": 2, "contains_zero": False,
+                                "initial": 0, **fields}))
+    return str(path)
+
+
+@pytest.fixture()
+def no_int_digit_limit():
+    """int and str convert numbers of any length, as the CLI lets them."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_encode_decode(capsys):
     code, out, _ = run(capsys, "encode", "6", "2")
     assert (code, out) == (0, "[1,1,0]\n")
@@ -55,6 +99,17 @@ def test_encode_decode(capsys):
     assert (code, out) == (0, "0\n")
 
 
+def test_codec_round_trips_past_2_to_the_1536(capsys):
+    # numbers past 2^1536 encode in halves: a round trip, and a split at the base itself
+    n = 3**5000 - 1
+    code, out, _ = run(capsys, "encode", str(n), "3")
+    assert (code, out) == (0, "[" + ",".join(["2"] * 5000) + "]\n")
+    assert run(capsys, "decode", out.strip("[]\n"), "3")[:2] == (0, f"{n}\n")
+    assert run(capsys, "encode", str(3 * 2**4000 + 5), str(2**2000))[:2] == (0, "[3,0,5]\n")
+    # a one-digit word in a base past 2^1536
+    assert run(capsys, "decode", "5", str(2**2000))[:2] == (0, "5\n")
+
+
 def test_member_exit_codes(capsys, files):
     code, out, _ = run(capsys, "member", files["example1"], "5")
     assert (code, out) == (0, "true\n")
@@ -64,8 +119,17 @@ def test_member_exit_codes(capsys, files):
 
 def test_enum_output(capsys, files):
     code, out, _ = run(capsys, "enum", files["example1"], "7")
-    assert code == 0
-    assert out.split() == ["1", "4", "5", "6", "7", "16", "17"]
+    assert (code, out) == (0, "1\n4\n5\n6\n7\n16\n17\n")
+
+
+@pytest.mark.parametrize("base", [10, 2])
+def test_enum_of_the_naturals_walks_digit_blocks(capsys, tmp_path, base):
+    # blocks of 2 digits in base 10 and of 7 in base 2
+    moves = [[0, d, 1] for d in range(1, base)] + [[1, d, 1] for d in range(base)]
+    path = put_document(tmp_path, f"nat{base}", base=base, state_count=2, finals=[1],
+                        transitions=moves)
+    code, out, _ = run(capsys, "enum", path, "1234")
+    assert (code, out) == (0, "".join(f"{n}\n" for n in range(1, 1235)))
 
 
 def test_enum_takes_a_limit_past_the_largest_list(capsys, files):
@@ -83,9 +147,20 @@ def test_minimize_and_trim_emit_documents(capsys, files):
     assert code == 0
     doc = json.loads(out)
     assert doc["state_count"] == 3
-    code, out, _ = run(capsys, "trim", files["example1"])
+    code, trimmed, _ = run(capsys, "trim", files["example1"])
     assert code == 0
-    assert json.loads(out)["state_count"] == 3
+    assert json.loads(trimmed)["state_count"] == 3
+    # example1 is already minimal and laid out breadth-first
+    assert out == trimmed
+
+
+def test_trim_drops_a_reachable_state_without_transitions(capsys, tmp_path):
+    # state 3 is reachable but has no transitions, so the set is not right dense
+    path = put_document(tmp_path, "stub", state_count=4, finals=[1],
+                        transitions=[[0, 1, 1], [1, 0, 2], [1, 1, 3], [2, 0, 1], [2, 1, 1]])
+    code, out, _ = run(capsys, "trim", path)
+    assert code == 0 and '"state_count": 3' in out
+    assert run(capsys, "right-dense", path)[:2] == (1, "false\n")
 
 
 def test_example1_roundtrip_through_files(capsys, files):
@@ -102,11 +177,17 @@ def test_example1_roundtrip_through_files(capsys, files):
 
 def test_profile_output(capsys, files):
     code, out, _ = run(capsys, "profile", files["example1"], "0")
-    assert code == 0
-    assert "preperiod: 0" in out
-    assert "period: 2" in out
-    assert "cycle: [0,1]" in out
-    assert "cofinite_threshold: absent" in out
+    assert (code, out) == (0, "preperiod: 0\nperiod: 2\nhead: []\ncycle: [0,1]\n"
+                              "cofinite_threshold: absent\n")
+
+
+def test_profile_ignores_declared_states_past_the_reachable_ones(tmp_path):
+    # example1 in a document that declares 5 000 000 states
+    from recset import document_from_set, example1
+    doc = document_from_set(example1())
+    path = put_document(tmp_path, "big", **{**doc, "state_count": 5_000_000})
+    code, out, err = within_10_s(*CLI, "profile", path, "1")
+    assert (code, err) == (0, b"") and b"\nperiod: 2\n" in out
 
 
 def test_witness_commands(capsys, files):
@@ -118,6 +199,13 @@ def test_witness_commands(capsys, files):
     assert "kind: empty" in out and "m: 1" in out
     code, out, _ = run(capsys, "witness-empty", files["mult3b2"])
     assert (code, out) == (1, "absent\n")
+    # a is the first length of the kind's bit past the preperiod: a cycle bit
+    # after the first, or the first
+    for argv, expected in ((["witness-empty"], "kind: empty\nm: 1\na: 1\nb: 2\nstate: 1\n"),
+                           (["witness-nonempty"], "kind: nonempty\nm: 1\na: 2\nb: 2\nstate: 1\n"),
+                           (["witness-nonempty", "--m-min", "2"],
+                            "kind: nonempty\nm: 2\na: 1\nb: 2\nstate: 2\n")):
+        assert run(capsys, argv[0], files["example1"], *argv[1:])[:2] == (0, expected)
 
 
 def test_syndetic_verdicts(capsys, files):
@@ -128,6 +216,28 @@ def test_syndetic_verdicts(capsys, files):
     code, out, _ = run(capsys, "syndetic", files["finite"])
     assert (code, out) == (0, "verdict: finite\n")
     assert run(capsys, "syndetic", files["example1"])[0] == 1
+
+
+def test_syndetic_on_the_numbers_with_exactly_20000_binary_digits(tmp_path):
+    # finite, so no length recurrence runs
+    n = 20_000
+    path = put_document(tmp_path, "long", state_count=n + 1, finals=[n],
+                        transitions=[[0, 1, 1]] + [[i, d, i + 1] for i in range(1, n)
+                                                   for d in (0, 1)])
+    assert within_10_s(*CLI, "syndetic", path) == (0, b"verdict: finite\n", b"")
+
+
+def test_syndetic_on_a_path_of_2000_singleton_components(capsys, tmp_path):
+    # the numbers with at least 2000 binary digits
+    n = 2_000
+    path = put_document(tmp_path, "path", state_count=n + 1, finals=[n],
+                        transitions=[[0, 1, 1]] + [[i, d, min(i + 1, n)] for i in range(1, n + 1)
+                                                   for d in (0, 1)])
+    code, out, err = within_10_s(*CLI, "syndetic", path)
+    assert (code, err) == (0, b"")
+    assert {b"verdict: syndetic", b"C: 1999"} <= set(out.splitlines())
+    code, out, _ = run(capsys, "profile", path, "2000")
+    assert code == 0 and {"period: 1", "cycle: [1]"} <= set(out.splitlines())
 
 
 def test_kronecker_golden(capsys):
@@ -152,6 +262,47 @@ def test_kronecker_error_exit_codes(capsys):
     code, out, err = run(capsys, "kronecker", "1000", "999", "1", "1", "1", "1", "2", "3")
     assert (code, err) == (0, "")
     assert out.startswith("k: 149984\nl: 94629\nchain: ")
+
+
+def test_kronecker_guard_exits_3_within_10_s():
+    # an exponent of 10^400: the certificate-size guard exits 3 before building a power
+    code, out, err = within_10_s(*CLI, "kronecker", "2", "1", str(10**400), "1", "1", "1", "2", "3")
+    assert (code, out) == (3, b"") and err.startswith(b"error:")
+
+
+@pytest.mark.parametrize("k, ell, params", [
+    (15912, 6023, (20, 19, 3, 3, 5, 5, 2, 3)),
+    (98, 51, (5, 4, 2, 3, 1, 7, 7, 5)),
+    (149984, 94629, (1000, 999, 1, 1, 1, 1, 2, 3)),  # found without a scan over l
+], ids=["l=6023", "l=51", "l=94629"])
+def test_kronecker_output_matches_an_integer_reference(no_int_digit_limit, k, ell, params):
+    code, out, err = within_10_s(*CLI, "kronecker", *map(str, params))
+    m, n, a, b, c, d, p, q = params
+    big_p, big_q = p ** (a + b * k), q ** (c + d * ell)
+    chain = f"{n * big_q} <= {m * big_p} < {(m + 1) * big_p} <= {(n + 1) * big_q}"
+    assert (code, err) == (0, b"")
+    assert out.decode() == f"k: {k}\nl: {ell}\nchain: {chain}\n"
+
+
+# Does any pair with l below the bound nest for `kronecker 20 19 3 3 5 5 2 3`?  Exact
+# powers stepped by multiplication, no logarithms; the least k that meets the lower
+# end only grows with l.
+_NESTING_SCAN = """
+import sys
+m, n, a, b, c, d, p, q = 20, 19, 3, 3, 5, 5, 2, 3
+k, big_p, big_q = 1, p ** (a + b), q ** c
+for l in range(1, int(sys.argv[1])):
+    big_q *= q ** d
+    while m * big_p < n * big_q:
+        k, big_p = k + 1, big_p * p ** b
+    if (m + 1) * big_p <= (n + 1) * big_q:
+        sys.exit(f"l={l}, k={k} nests")
+"""
+
+
+def test_kronecker_l_6023_is_the_least_by_brute_force():
+    assert within_10_s("-c", _NESTING_SCAN, "6023") == (0, b"", b"")
+    assert within_10_s("-c", _NESTING_SCAN, "6024") == (1, b"", b"l=6023, k=15912 nests\n")
 
 
 def test_profile_recurrences_past_the_cap_exit_3(capsys, files, tmp_path):
@@ -214,8 +365,8 @@ def test_indep_outputs(capsys):
     code, out, _ = run(capsys, "indep", "2", "3")
     assert (code, out) == (0, "independent\n")
     code, out, _ = run(capsys, "indep", "4", "8")
-    assert code == 1
-    assert "4^3 = 8^2" in out
+    assert (code, out) == (1, "dependent: 4^3 = 8^2 = 64\n")
+    assert within_10_s(*CLI, "indep", str(2**61 - 1), "3") == (0, b"independent\n", b"")
 
 
 def test_indep_prints_a_high_dependent_power_in_linear_time(capsys):
@@ -228,6 +379,10 @@ def test_indep_prints_a_high_dependent_power_in_linear_time(capsys):
     assert code == 1 and out.startswith(prefix) and out.endswith("\n")
     assert len(out) - len(prefix) - 1 == 1_203_518
     assert elapsed < 2
+    # 2^(3000*2999): its digits are counted, not rebuilt with str()
+    code, out, _ = within_10_s(*CLI, "indep", str(2**3000), str(2**2999))
+    assert code == 1
+    assert out.startswith(b"dependent: ") and len(out.split()[-1]) == 2_708_367
 
 
 def test_gaps_output(capsys, files):
@@ -235,6 +390,8 @@ def test_gaps_output(capsys, files):
     assert code == 0
     assert "max_gap: 33" in out
     assert "first: 31 64" in out
+    code, out, _ = run(capsys, "gaps", files["example1"], "--horizon", "100000")
+    assert (code, out) == (0, "max_gap: 32769\noccurrences: 1\nfirst: 32767 65536\n")
     code, _, err = run(capsys, "gaps", files["finite"], "--horizon", "1")
     assert code == 2 and err.startswith("error: ")
 
@@ -255,6 +412,7 @@ def test_refute_end_to_end(capsys, files):
 def test_validation_exit_codes(capsys, files, tmp_path):
     assert run(capsys, "encode", "5", "1")[0] == 2
     assert run(capsys, "decode", "3", "2")[0] == 2
+    assert run(capsys, "decode", "1,2", "2")[0] == 2
     assert run(capsys, "member", str(tmp_path / "missing.aut"), "1")[0] == 2
     bad = tmp_path / "bad.aut"
     bad.write_text("{ nope }")
@@ -289,6 +447,17 @@ def test_strict_vs_lenient_loading(capsys, tmp_path):
     assert (code, out) == (0, "true\n")
 
 
+@pytest.mark.parametrize("lenient", [[], ["--lenient"]], ids=["strict", "lenient"])
+@pytest.mark.parametrize("fields", [{"finals": [1, True]}, {"contains_zero": 1}],
+                         ids=["boolean-final", "integer-contains-zero"])
+def test_a_wrongly_typed_document_is_one_usage_error(capsys, tmp_path, fields, lenient):
+    path = put_document(tmp_path, "typed", **{"state_count": 2, "finals": [1],
+                                              "transitions": [[0, 1, 1]], **fields})
+    code, out, err = run(capsys, "syndetic", path, *lenient)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # accepts "0", so only lenient loading takes it; state 0 reads "0" and "10"
 _LEADING_ZERO_DOC = {
     "format_version": 1, "base": 2, "state_count": 4, "initial": 0,
@@ -308,6 +477,7 @@ def test_lenient_loading_keeps_the_document_state_numbers(capsys, tmp_path, stat
     path.write_text(json.dumps(_LEADING_ZERO_DOC))
     code, out, _ = run(capsys, "profile", str(path), str(state), "--lenient")
     assert (code, out) == (0, "\n".join(lines + ["cofinite_threshold: absent"]) + "\n")
+    assert run(capsys, "profile", str(path), str(state))[0] == 2
 
 
 def test_lenient_trim_lists_document_states_before_the_fresh_start(capsys, tmp_path):
@@ -431,16 +601,20 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
         cli.build_parser.cache_clear()
 
 
-def test_a_reader_that_leaves_early_gets_exit_141(tmp_path):
+def _one_gib_of_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("limit", [200_000, 10**12])
+def test_a_reader_that_leaves_early_gets_exit_141(tmp_path, limit):
     # the reader closes the pipe after one line: the shell's code for a writer
-    # whose reader left (128 + SIGPIPE), and nothing on stderr
-    import recset
-    doc = tmp_path / "nat2.aut"
-    doc.write_text('{"format_version": 1, "base": 2, "contains_zero": false, "state_count": 2, '
-                   '"initial": 0, "finals": [1], "transitions": [[0,1,1],[1,0,1],[1,1,1]]}')
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(recset.__file__)))
-    with subprocess.Popen([sys.executable, "-m", "recset.cli", "enum", str(doc), "200000"],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+    # whose reader left (128 + SIGPIPE), and nothing on stderr.  enum prints each
+    # element as the walk yields it, so a limit past memory costs nothing; a child
+    # that gathered them first would stop at the ceiling with exit 4
+    doc = put_document(tmp_path, "nat2", state_count=2, finals=[1],
+                       transitions=[[0, 1, 1], [1, 0, 1], [1, 1, 1]])
+    with child(*CLI, "enum", doc, str(limit), preexec_fn=_one_gib_of_address_space) as proc:
         assert proc.stdout.readline() == b"1\n"
         proc.stdout.close()
         assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")

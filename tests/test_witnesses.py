@@ -269,7 +269,7 @@ def _canonical_sets(draw) -> RecognizableSet:
 def test_enumeration_and_witness_m_match_brute_force(s, m_min):
     bound = 600
     expected = scan_elements(s, bound)
-    got = enumerate_elements(s, len(expected) + 1)
+    got = list(enumerate_elements(s, len(expected) + 1))
     assert got[:len(expected)] == expected
     assert all(x > bound for x in got[len(expected):])
     if is_infinite_language(s.dfa):
@@ -463,7 +463,7 @@ def test_verifier_profiles_the_whole_qualifying_table():
 @pytest.mark.parametrize("call", [
     *DECISIONS.values(),
     lambda p, q: minimize(p.dfa),
-    lambda p, q: enumerate_elements(q, 5),
+    lambda p, q: list(enumerate_elements(q, 5)),
 ], ids=[*DECISIONS, "minimize", "enum"])
 def test_decisions_never_trim(monkeypatch, call):
     # the normal form and enumeration read only the reachable part, and
