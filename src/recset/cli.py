@@ -52,8 +52,8 @@ def _parse_digits(text: str) -> list[int]:
         raise ValidationError(f"cannot parse digit list {text!r}; expected e.g. 1,0,1")
 
 
-def _load(args) -> RecognizableSet:
-    return read_automaton(args.file, strict=not args.lenient)
+def _load(args, name: str = "file") -> RecognizableSet:
+    return read_automaton(getattr(args, name), strict=not args.lenient)
 
 
 def _emit(args, s: RecognizableSet) -> int:
@@ -210,9 +210,7 @@ def _cmd_gaps(args) -> int:
 
 
 def _cmd_refute(args) -> int:
-    set_p = read_automaton(args.file_p, strict=not args.lenient)
-    set_q = read_automaton(args.file_q, strict=not args.lenient)
-    cert = cross_base_refute(set_p, set_q)
+    cert = cross_base_refute(_load(args, "file_p"), _load(args, "file_q"))
     if cert is None:
         print("absent: the second automaton has no empty interval family; "
               "no refutation of this shape exists (the sets may or may not be equal)")
@@ -233,109 +231,60 @@ def _cmd_example1(args) -> int:
     return _emit(args, example1())
 
 
-def _add_io_flags(sub, out: bool = False) -> None:
-    sub.add_argument("--lenient", action="store_true",
-                     help="repair leading-zero acceptance instead of rejecting it; tolerate unknown fields")
-    if out:
-        sub.add_argument("--out", metavar="PATH", default=None,
-                         help="write the automaton document here instead of stdout")
+class _Parser(argparse.ArgumentParser):
+    """A usage error leaves through `main`'s one `error:` line, as any validation error."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="recset",
         description="Finite-automaton recognizable sets of naturals: "
                     "membership, minimization, length profiles, interval "
                     "witnesses, and a complete syndeticity decision.")
     subs = parser.add_subparsers(dest="command", required=True)
+    lenient = argparse.ArgumentParser(add_help=False)
+    lenient.add_argument("--lenient", action="store_true",
+                         help="repair leading-zero acceptance instead of rejecting it; tolerate unknown fields")
+    document = argparse.ArgumentParser(add_help=False, parents=[lenient])
+    document.add_argument("file")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="PATH", help="write the automaton document here instead of stdout")
 
-    sub = subs.add_parser("encode", help="base-p digits of an integer")
-    sub.add_argument("n", type=int)
-    sub.add_argument("base", type=int)
-    sub.set_defaults(func=_cmd_encode)
+    def command(name, func, summary, *integers, parents=(document,)):
+        sub = subs.add_parser(name, help=summary, parents=parents)
+        for integer in integers:
+            sub.add_argument(integer, type=int)
+        sub.set_defaults(func=func)
+        return sub
 
-    sub = subs.add_parser("decode", help="integer value of a digit list")
-    sub.add_argument("digits", help="comma-separated digits, may be empty")
-    sub.add_argument("base", type=int)
-    sub.set_defaults(func=_cmd_decode)
-
-    sub = subs.add_parser("member", help="is n in the set?")
-    sub.add_argument("file")
-    sub.add_argument("n", type=int)
-    _add_io_flags(sub)
-    sub.set_defaults(func=_cmd_member)
-
-    sub = subs.add_parser("enum", help="first elements in increasing order")
-    sub.add_argument("file")
-    sub.add_argument("limit", type=int)
-    _add_io_flags(sub)
-    sub.set_defaults(func=_cmd_enum)
-
-    sub = subs.add_parser("minimize", help="canonical minimal automaton")
-    sub.add_argument("file")
-    _add_io_flags(sub, out=True)
-    sub.set_defaults(func=_cmd_minimize)
-
-    sub = subs.add_parser("trim", help="drop unreachable and dead states")
-    sub.add_argument("file")
-    _add_io_flags(sub, out=True)
-    sub.set_defaults(func=_cmd_trim)
-
-    sub = subs.add_parser("right-dense", help="does every word extend into the zero-padded language?")
-    sub.add_argument("file")
-    _add_io_flags(sub)
-    sub.set_defaults(func=_cmd_right_dense)
-
-    sub = subs.add_parser("profile", help="length-set profile of a state")
-    sub.add_argument("file")
-    sub.add_argument("state", type=int)
-    _add_io_flags(sub)
-    sub.set_defaults(func=_cmd_profile)
-
-    sub = subs.add_parser("witness-nonempty", help="uniformly nonempty interval family")
-    sub.add_argument("file")
-    _add_io_flags(sub)
-    sub.add_argument("--m-min", type=int, default=1, dest="m_min",
-                     help="smallest admissible m (default 1)")
-    sub.set_defaults(func=_cmd_witness_nonempty)
-
-    sub = subs.add_parser("witness-empty", help="uniformly empty interval family, if any")
-    sub.add_argument("file")
-    _add_io_flags(sub)
-    sub.set_defaults(func=_cmd_witness_empty)
-
-    sub = subs.add_parser("syndetic", help="decide bounded gaps, with certificate or witness")
-    sub.add_argument("file")
-    _add_io_flags(sub)
-    sub.set_defaults(func=_cmd_syndetic)
-
-    sub = subs.add_parser("kronecker", help="exponent pair nesting scaled power intervals")
-    for name in ("m", "n", "a", "b", "c", "d", "p", "q"):
-        sub.add_argument(name, type=int)
-    sub.set_defaults(func=_cmd_kronecker)
-
-    sub = subs.add_parser("indep", help="are two bases multiplicatively independent?")
-    sub.add_argument("p", type=int)
-    sub.add_argument("q", type=int)
-    sub.set_defaults(func=_cmd_indep)
-
-    sub = subs.add_parser("gaps", help="scan consecutive-element gaps up to a horizon")
-    sub.add_argument("file")
-    sub.add_argument("--horizon", type=int, default=100_000)
-    _add_io_flags(sub)
-    sub.set_defaults(func=_cmd_gaps)
-
-    sub = subs.add_parser("refute", help="nested-interval proof that two automata differ")
-    sub.add_argument("file_p")
-    sub.add_argument("file_q")
-    _add_io_flags(sub)
-    sub.set_defaults(func=_cmd_refute)
-
-    sub = subs.add_parser("example1", help="write the built-in right-dense-but-gappy set")
-    sub.add_argument("--out", metavar="PATH", default=None)
-    sub.set_defaults(func=_cmd_example1)
-
+    command("encode", _cmd_encode, "base-p digits of an integer", "n", "base", parents=())
+    decode = command("decode", _cmd_decode, "integer value of a digit list", parents=())
+    decode.add_argument("digits", help="comma-separated digits, may be empty")
+    decode.add_argument("base", type=int)
+    command("member", _cmd_member, "is n in the set?", "n")
+    command("enum", _cmd_enum, "first elements in increasing order", "limit")
+    command("minimize", _cmd_minimize, "canonical minimal automaton", parents=(document, out))
+    command("trim", _cmd_trim, "drop unreachable and dead states", parents=(document, out))
+    command("right-dense", _cmd_right_dense, "does every word extend into the zero-padded language?")
+    command("profile", _cmd_profile, "length-set profile of a state", "state")
+    command("witness-nonempty", _cmd_witness_nonempty, "uniformly nonempty interval family").add_argument(
+        "--m-min", type=int, default=1, help="smallest admissible m (default 1)")
+    command("witness-empty", _cmd_witness_empty, "uniformly empty interval family, if any")
+    command("syndetic", _cmd_syndetic, "decide bounded gaps, with certificate or witness")
+    command("kronecker", _cmd_kronecker, "exponent pair nesting scaled power intervals",
+            *"mnabcdpq", parents=())
+    command("indep", _cmd_indep, "are two bases multiplicatively independent?", "p", "q", parents=())
+    command("gaps", _cmd_gaps, "scan consecutive-element gaps up to a horizon").add_argument(
+        "--horizon", type=int, default=100_000)
+    refute = command("refute", _cmd_refute, "nested-interval proof that two automata differ",
+                     parents=(lenient,))
+    refute.add_argument("file_p")
+    refute.add_argument("file_q")
+    command("example1", _cmd_example1, "write the built-in right-dense-but-gappy set", parents=(out,))
     return parser
 
 
@@ -343,15 +292,13 @@ def main(argv=None) -> int:
     # certificates can exceed the default int-to-str digit limit (Python >= 3.10.7)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else 2
-    try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a reader that left is met here, not at interpreter exit
         return code
+    except SystemExit:  # --help has printed; usage errors raise ValidationError instead
+        return 0
     except BrokenPipeError:  # later flushes go nowhere, as the signal module's docs advise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141

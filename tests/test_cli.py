@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -427,24 +428,70 @@ def test_validation_exit_codes(capsys, files, tmp_path):
     assert run(capsys, "witness-nonempty", files["example1"], "--m-min", "0")[0] == 2
 
 
-def test_usage_errors(capsys):
-    assert run(capsys, "no-such-command")[0] == 2
-    assert run(capsys, "encode", "x", "2")[0] == 2
-    assert run(capsys, "encode")[0] == 2
+def test_usage_errors(capsys, files):
+    # argparse's usage text would be a second error channel: a usage error is
+    # one `error:` line with exit 2, as any validation error
+    doc = files["example1"]
+    for argv in ([], ["--bogus"], ["no-such-command"], ["encode", "x", "2"], ["encode"],
+                 ["member", doc, "5", "--bogus"], ["profile", doc, "True"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+COMMANDS = ("encode", "decode", "member", "enum", "minimize", "trim", "right-dense", "profile",
+            "witness-nonempty", "witness-empty", "syndetic", "kronecker", "indep", "gaps",
+            "refute", "example1")
+
+
+def test_help_lists_every_subcommand(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    listed = [line.split()[0] for line in out.splitlines() if re.match(r"    \S", line)]
+    assert listed == list(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_subcommand_has_help(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].startswith(f"usage: recset {command} ")
+
+
+def test_out_has_one_help_text(capsys):
+    for command in ("minimize", "trim", "example1"):
+        out = run(capsys, command, "--help")[1]
+        assert "\n  --out PATH  write the automaton document here instead of stdout\n" in out, command
+
+
+# every positive integer once its leading-zero acceptance is repaired; strict
+# loading rejects it
+ZERO_LEADS = {"state_count": 2, "finals": [1],
+              "transitions": [[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]]}
 
 
 def test_strict_vs_lenient_loading(capsys, tmp_path):
-    doc = {
-        "format_version": 1, "base": 2, "state_count": 2, "initial": 0,
-        "finals": [1], "contains_zero": False,
-        "transitions": [[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]],
-    }
-    path = tmp_path / "zeroleads.aut"
-    path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "member", str(path), "5")
+    path = put_document(tmp_path, "zeroleads", **ZERO_LEADS)
+    code, _, err = run(capsys, "member", path, "5")
     assert code == 2 and "leading zero" in err
-    code, out, _ = run(capsys, "member", str(path), "5", "--lenient")
+    code, out, _ = run(capsys, "member", path, "5", "--lenient")
     assert (code, out) == (0, "true\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["member", "DOC", "5"], ["enum", "DOC", "3"], ["minimize", "DOC"], ["trim", "DOC"],
+    ["right-dense", "DOC"], ["profile", "DOC", "0"], ["witness-nonempty", "DOC"],
+    ["witness-empty", "DOC"], ["syndetic", "DOC"], ["gaps", "DOC", "--horizon", "100"],
+    ["refute", "NAT3", "DOC"],
+], ids=lambda argv: argv[0])
+def test_lenient_reaches_every_document_command(capsys, files, tmp_path, argv):
+    names = {"DOC": put_document(tmp_path, "zeroleads", **ZERO_LEADS), "NAT3": files["nat3"]}
+    argv = [names.get(arg, arg) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "leading zero" in err
+    code, out, err = run(capsys, *argv, "--lenient")
+    assert code != 2 and err == "", err
 
 
 @pytest.mark.parametrize("lenient", [[], ["--lenient"]], ids=["strict", "lenient"])
